@@ -101,7 +101,10 @@ def _cmd_hsp_solve(args) -> int:
         gens = [tuple(int(v) for v in g) for g in payload["hidden_subgroup_generators"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad instance file: {exc}") from exc
-    hidden = subgroup_from_generators(gens, m, k, n)
+    try:
+        hidden = subgroup_from_generators(gens, m, k, n)
+    except ValueError as exc:
+        raise InputError(f"bad instance file: {exc}") from exc
     oracle = build_coset_oracle(hidden)
     res = solve_hsp(
         oracle,

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from math import gcd
 
+from .lattice import xgcd
+
 
 def _small_prime_divisors(n: int, bound: int) -> list[int]:
     """Prime divisors of n that are strictly below bound."""
@@ -32,21 +34,11 @@ def _crt(residues: list[int], moduli: list[int]) -> tuple[int, int]:
     x, mod = 0, 1
     for r, p in zip(residues, moduli):
         # moduli are distinct primes, so the running modulus is invertible mod p
-        inv = _xgcd(mod % p, p)[1]
+        inv = xgcd(mod % p, p)[1]
         t = ((r - x) * inv) % p
         x += mod * t
         mod *= p
     return x % mod, mod
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
 
 
 def _combine_pair_stats(z1: int, z2: int, m: int) -> tuple[int, int]:
@@ -67,7 +59,7 @@ def _combine_pair_stats(z1: int, z2: int, m: int) -> tuple[int, int]:
     residues = []
     for p in primes:
         if a % p:
-            inv = _xgcd(a % p, p)[1]
+            inv = xgcd(a % p, p)[1]
             residues.append(((1 - b) * inv) % p)
         else:
             # p divides a, so p cannot divide b; any residue class works

@@ -11,9 +11,11 @@ subgroup found so far.
 
 Two equivalent round implementations exist: a dense one that drives the sparse
 state machinery through the full circuit, and a reduced one that evaluates the
-same amplitudes on the pairing-value classes of the sampled register (the
-amplification operator acts within that small invariant subspace).  They are
-cross-checked in the test suite; the solver picks automatically by size.
+same amplitudes on the pairing-value classes of the sampled register.  The
+amplification operator is a reflection about the prepared state, so after it
+a label's amplitude depends only on its flag bit: the reduced round computes
+two amplitudes per threshold index.  They are cross-checked in the test suite;
+the solver picks automatically by size.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from itertools import product as _cartesian
 
 from .lattice import (
     SubgroupRep,
+    contains_element,
     coset_representative,
     enumerate_elements,
     equal_or_witness,
@@ -384,7 +387,6 @@ def sampling_circuit(oracle: HidingOracle) -> Circuit:
 
 def _root_order(m: int) -> int:
     # i and all modulus-m phases must coexist in one field
-    M = 4
     g = 4 if m % 4 == 0 else (2 if m % 2 == 0 else 1)
     return 4 * m // g
 
@@ -442,8 +444,10 @@ def _dense_round(oracle, probe, js, mode, rng, backend, stats, capture):
 def _reduced_round(oracle, probe, js, mode, rng, backend, stats, capture):
     """Same outcome distribution as the dense round, computed on the classes of
     the pairing value.  The amplification operator is a reflection about the
-    prepared state, so the final amplitude on a label depends only on that
-    label's pairing class and helper qubit; the class histogram is everything."""
+    prepared state, so the final amplitude on a label depends only on its flag
+    bit f: A_f = phase(f) * 2|H-perp| + (i - 1) * (c_0 + i c_1), where c_f
+    counts the (pairing class, helper bit) pairs with flag f, weighted by the
+    class sizes.  Two amplitudes per threshold index are everything."""
     m, n = oracle.m, oracle.n
     elems = oracle.perp_elements()
     hn = len(elems)
@@ -451,9 +455,12 @@ def _reduced_round(oracle, probe, js, mode, rng, backend, stats, capture):
     na = [0] * m
     for a in avals:
         na[a] += 1
+    classes = [a for a in range(m) if na[a]]
     iunit = backend.imag_unit()
     one = backend.one
     im1 = iunit - one if backend.is_exact else iunit - 1.0
+    phases = (one, iunit)
+    scale = (2 * hn) ** 3
 
     members: dict[int, list[int]] | None = None
     trace = RoundTrace(probe=tuple(probe))
@@ -467,33 +474,21 @@ def _reduced_round(oracle, probe, js, mode, rng, backend, stats, capture):
         oracle.counter.forward += 2
         oracle.counter.inverse += 1
 
-        flags = [(round_flag(m, j, a, 0), round_flag(m, j, a, 1)) for a in range(m)]
-        phases = (one, iunit)
-        zsum = None
-        for a in range(m):
-            if na[a] == 0:
-                continue
-            term = (phases[flags[a][0]] + phases[flags[a][1]]) * na[a]
-            zsum = term if zsum is None else zsum + term
-        amp = {}
-        for a in range(m):
-            if na[a] == 0:
-                continue
-            for b in (0, 1):
-                amp[(a, b)] = phases[flags[a][b]] * (2 * hn) + im1 * zsum
+        flags = {a: (round_flag(m, j, a, 0), round_flag(m, j, a, 1)) for a in classes}
+        counts = [0, 0]
+        for a in classes:
+            for f in flags[a]:
+                counts[f] += na[a]
+        z = one * counts[0] + iunit * counts[1]
+        amps = [phases[f] * (2 * hn) + im1 * z for f in (0, 1)]
         if backend.is_exact:
-            total = 0
-            for (a, b), v in amp.items():
-                total += backend.abs2(v).rational_value() * na[a]
-            if total != (2 * hn) ** 3:
+            norms = [backend.abs2(v).rational_value() for v in amps]
+            if counts[0] * norms[0] + counts[1] * norms[1] != scale:
                 raise AssertionError("reduced-round normalization check failed")
-        support_a = sorted(
-            {
-                a
-                for (a, b), v in amp.items()
-                if not backend.is_zero(v, (2 * hn) ** 3)
-            }
-        )
+        else:
+            norms = [backend.abs2(v) for v in amps]
+        nonzero = [not backend.is_zero(v, scale) for v in amps]
+        support_a = [a for a in classes if nonzero[flags[a][0]] or nonzero[flags[a][1]]]
         if capture is not None:
             capture(
                 "round_reduced",
@@ -501,19 +496,17 @@ def _reduced_round(oracle, probe, js, mode, rng, backend, stats, capture):
                     "probe": tuple(probe),
                     "j": j,
                     "na": list(na),
-                    "amp": dict(amp),
-                    "scale": (2 * hn) ** 3,
+                    "amp": {(a, b): amps[flags[a][b]] for a in classes for b in (0, 1)},
+                    "scale": scale,
                     "support_a": list(support_a),
                 },
             )
-        asup = set(support_a)
         if mode == "deterministic":
-            xs, pairing = next(
-                (y, a) for y, a in zip(elems, avals) if a in asup
-            )
+            asup = set(support_a)
+            xs, pairing = next((y, a) for y, a in zip(elems, avals) if a in asup)
         else:
             weights = [
-                backend.mass([amp[(a, 0)], amp[(a, 1)]]) * na[a] for a in support_a
+                (norms[flags[a][0]] + norms[flags[a][1]]) * na[a] for a in support_a
             ]
             if backend.is_exact:
                 total = sum(weights)
@@ -614,10 +607,11 @@ def solve_hsp_zmn(
         stats = QueryStats()
     trace: list[RoundTrace] = []
 
+    perp_known = perp_subgroup(known_hidden) if known_hidden is not None else None
     low = trivial_subgroup(m, 1, n)  # grows up to the hidden subgroup
     comp = trivial_subgroup(m, 1, n)  # grows inside the complement
+    target = perp_subgroup(comp)  # recomputed only when comp grows
     while True:
-        target = perp_subgroup(comp)
         witness = equal_or_witness(low, target)
         if witness is None:
             break
@@ -636,10 +630,10 @@ def solve_hsp_zmn(
         trace.append(rtrace)
         if found:
             comp = join(comp, found)
+            target = perp_subgroup(comp)
         else:
             low = join(low, [probe])
         if known_hidden is not None:
-            perp_known = perp_subgroup(known_hidden)
             pairings = {
                 sum(p * v for p, v in zip(probe, y)) % m
                 for y in enumerate_elements(perp_known)
@@ -647,18 +641,12 @@ def solve_hsp_zmn(
             nonzero = [p for p in pairings if p]
             rtrace.witness_divisor = min(nonzero) if nonzero else None
             for col in low.hnf.columns():
-                if not _contains(known_hidden, col):
+                if not contains_element(known_hidden, col):
                     raise AssertionError("solver invariant broken: K escaped H")
             for col in comp.hnf.columns():
-                if not _contains(perp_known, col):
+                if not contains_element(perp_known, col):
                     raise AssertionError("solver invariant broken: L escaped the complement")
     return HspResult(low, stats, trace)
-
-
-def _contains(rep: SubgroupRep, vec) -> bool:
-    from .lattice import contains_element
-
-    return contains_element(rep, vec)
 
 
 def solve_hsp(

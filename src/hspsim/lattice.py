@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as _cartesian
 from math import gcd, prod
 
@@ -177,60 +178,61 @@ def hermite_normal_form(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     and zero columns gathered on the right.
     """
     n, s = mat.rows, mat.cols
-    cols = [list(c) for c in mat.columns()]
-    ucols = [[1 if i == j else 0 for i in range(s)] for j in range(s)]
+    # each column carries the matching identity column below it, so the
+    # elimination builds U alongside H
+    cols = [
+        list(c) + [int(i == j) for i in range(s)] for j, c in enumerate(mat.columns())
+    ]
+    _hnf_columns(cols, n)
+    H = IntMatrix.from_columns([c[:n] for c in cols])
+    U = IntMatrix.from_columns([c[n:] for c in cols])
+    return H, U
 
-    def combine(p: int, j: int, row: int) -> None:
-        a, b = cols[p][row], cols[j][row]
-        cp, cj = cols[p], cols[j]
-        up, uj = ucols[p], ucols[j]
-        if b % a == 0:
-            q = b // a
-            for i in range(n):
-                cj[i] -= q * cp[i]
-            for i in range(s):
-                uj[i] -= q * up[i]
-            return
-        g, x, y = xgcd(a, b)
-        au, bu = a // g, b // g
-        for i in range(n):
-            cp[i], cj[i] = x * cp[i] + y * cj[i], -bu * cp[i] + au * cj[i]
-        for i in range(s):
-            up[i], uj[i] = x * up[i] + y * uj[i], -bu * up[i] + au * uj[i]
 
+def _hnf_columns(cols: list[list[int]], n: int) -> None:
+    """Bring integer columns to column Hermite normal form in their first n
+    rows, in place.  Entries below row n only follow the column operations.
+
+    Columns at or right of the current pivot are zero above the current row,
+    so their updates start at that row.
+    """
+    s, length = len(cols), len(cols[0])
     pivot = 0
     for row in range(n):
         if pivot >= s:
             break
-        for j in range(pivot, s):
-            if cols[j][row] == 0:
+        for j in range(pivot + 1, s):
+            b = cols[j][row]
+            if b == 0:
                 continue
-            if cols[pivot][row] == 0:
+            a = cols[pivot][row]
+            if a == 0:
                 cols[pivot], cols[j] = cols[j], cols[pivot]
-                ucols[pivot], ucols[j] = ucols[j], ucols[pivot]
-            elif j != pivot:
-                combine(pivot, j, row)
-        d = cols[pivot][row]
+                continue
+            cp, cj = cols[pivot], cols[j]
+            if b % a == 0:
+                q = b // a
+                for i in range(row, length):
+                    cj[i] -= q * cp[i]
+                continue
+            g, x, y = xgcd(a, b)
+            au, bu = a // g, b // g
+            for i in range(row, length):
+                cp[i], cj[i] = x * cp[i] + y * cj[i], -bu * cp[i] + au * cj[i]
+        cp = cols[pivot]
+        d = cp[row]
         if d == 0:
             continue
         if d < 0:
-            cols[pivot] = [-x for x in cols[pivot]]
-            ucols[pivot] = [-x for x in ucols[pivot]]
+            cols[pivot] = cp = [-x for x in cp]
             d = -d
         for j in range(pivot):
             q = cols[j][row] // d
             if q:
-                cj, cp = cols[j], cols[pivot]
-                for i in range(n):
+                cj = cols[j]
+                for i in range(row, length):
                     cj[i] -= q * cp[i]
-                uj, up = ucols[j], ucols[pivot]
-                for i in range(s):
-                    uj[i] -= q * up[i]
         pivot += 1
-
-    H = IntMatrix.from_columns(cols)
-    U = IntMatrix.from_columns(ucols)
-    return H, U
 
 
 def _smith_with_inverse(mat: IntMatrix):
@@ -392,9 +394,10 @@ class SubgroupRep:
             for j in range(i):
                 if not (0 <= H.data[i][j] < H.data[i][i]):
                     raise ValueError("off-diagonal entries must be reduced")
+        cols = H.columns()
         for i in range(n):
             vec = tuple(q if j == i else 0 for j in range(n))
-            if _solve_lower_triangular(H, vec) is None:
+            if not _in_column_lattice(cols, vec):
                 raise ValueError("lattice must contain m^k * Z^n")
         if (q**n) % H.det() != 0:
             raise ValueError("lattice determinant must divide m^(k*n)")
@@ -403,64 +406,67 @@ class SubgroupRep:
     def modulus(self) -> int:
         return self.m**self.k
 
+    @cached_property
+    def _reduction_steps(self) -> tuple:
+        """Per basis column i: (i, diagonal entry, ((row, entry) for every
+        nonzero entry below the diagonal)) -- what coset reduction subtracts."""
+        H = self.hnf.data
+        return tuple(
+            (i, H[i][i], tuple((r, H[r][i]) for r in range(i + 1, self.n) if H[r][i]))
+            for i in range(self.n)
+        )
+
     def det(self) -> int:
         return self.hnf.det()
-
-
-def _solve_lower_triangular(H: IntMatrix, vec) -> tuple[int, ...] | None:
-    """Integer coefficients c with H @ c = vec, or None if none exist."""
-    n = H.rows
-    c = [0] * n
-    for i in range(n):
-        r = vec[i] - sum(H.data[i][j] * c[j] for j in range(i))
-        q, rem = divmod(r, H.data[i][i])
-        if rem:
-            return None
-        c[i] = q
-    return tuple(c)
 
 
 def subgroup_from_generators(gens, m: int, k: int, n: int) -> SubgroupRep:
     """Subgroup generated by the given vectors (mod m^k), as its canonical rep.
 
     Generators already inside the accumulated lattice are filtered by a cheap
-    triangular solve, so feeding a whole subgroup's element list stays linear
-    in its size rather than cubic.
+    triangular reduction, so feeding a whole subgroup's element list stays
+    linear in its size rather than cubic.  The basis is kept as a list of
+    columns and reduced without a multiplier.
     """
+    if m < 2 or k < 1 or n < 1:
+        raise ValueError("need m >= 2, k >= 1, n >= 1")
     q = m**k
-    basis = [[q if j == i else 0 for j in range(n)] for i in range(n)]
+    basis = [[q if i == j else 0 for i in range(n)] for j in range(n)]
     pending = []
     for g in gens:
-        vec = tuple(int(x) % q for x in g)
+        vec = [int(x) % q for x in g]
         if len(vec) != n:
             raise ValueError("generator length mismatch")
-        if _solve_lower_triangular_rows(basis, vec) is None:
+        if not _in_column_lattice(basis, vec):
             pending.append(vec)
             if len(pending) >= n:
-                basis = _hnf_rows(basis, pending, n)
+                basis = _hnf_basis(basis, pending)
                 pending = []
     if pending:
-        basis = _hnf_rows(basis, pending, n)
-    return SubgroupRep(m, k, n, IntMatrix.from_rows(basis))
+        basis = _hnf_basis(basis, pending)
+    data = tuple(tuple(col[i] for col in basis) for i in range(n))
+    return SubgroupRep(m, k, n, IntMatrix(n, n, data))
 
 
-def _solve_lower_triangular_rows(rows, vec) -> tuple[int, ...] | None:
-    n = len(rows)
-    c = [0] * n
-    for i in range(n):
-        r = vec[i] - sum(rows[i][j] * c[j] for j in range(i))
-        q, rem = divmod(r, rows[i][i])
+def _in_column_lattice(cols, vec) -> bool:
+    """True iff vec is an integer combination of the lower-triangular columns."""
+    r = list(vec)
+    for i, col in enumerate(cols):
+        q, rem = divmod(r[i], col[i])
         if rem:
-            return None
-        c[i] = q
-    return tuple(c)
+            return False
+        if q:
+            for ii in range(i + 1, len(r)):
+                r[ii] -= q * col[ii]
+    return True
 
 
-def _hnf_rows(basis_rows, extra_cols, n) -> list[list[int]]:
-    cols = [tuple(row[i] for row in basis_rows) for i in range(n)]
-    cols = list(extra_cols) + cols
-    H, _ = hermite_normal_form(IntMatrix.from_columns(cols))
-    return [list(row[:n]) for row in H.data]
+def _hnf_basis(basis_cols, extra_cols) -> list[list[int]]:
+    """HNF basis of the lattice spanned by a full-rank basis plus extra columns."""
+    n = len(basis_cols)
+    cols = extra_cols + basis_cols
+    _hnf_columns(cols, n)
+    return cols[:n]
 
 
 def trivial_subgroup(m: int, k: int, n: int) -> SubgroupRep:
@@ -483,18 +489,17 @@ def contains_element(rep: SubgroupRep, x) -> bool:
     """True iff x (mod m^k) lies in the subgroup."""
     if len(x) != rep.n:
         raise ValueError("vector length mismatch")
-    return _solve_lower_triangular(rep.hnf, tuple(int(v) for v in x)) is not None
+    return _in_column_lattice(rep.hnf.columns(), [int(v) for v in x])
 
 
 def coset_representative(rep: SubgroupRep, x) -> tuple[int, ...]:
     """Canonical representative of x + A inside the fundamental box of the basis."""
-    H = rep.hnf
-    r = [int(v) for v in x]
-    for i in range(rep.n):
-        q = r[i] // H.data[i][i]
+    r = list(map(int, x))
+    for i, d, below in rep._reduction_steps:
+        q, r[i] = divmod(r[i], d)
         if q:
-            for ii in range(i, rep.n):
-                r[ii] -= q * H.data[ii][i]
+            for ii, h in below:
+                r[ii] -= q * h
     return tuple(r)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod, sqrt
+from math import lcm, prod, sqrt
 
 from .cyclotomic import CycloField, Cyclotomic
 
@@ -416,9 +416,7 @@ def measure_register(
         values = sorted(masses)
         if state.backend.is_exact:
             fracs = [_exact_fraction(masses[v]) for v in values]
-            den = 1
-            for f in fracs:
-                den = den * f.denominator // _gcd_int(den, f.denominator)
+            den = lcm(*(f.denominator for f in fracs))
             weights = [int(f * den) for f in fracs]
             total = sum(weights)
             t = rng.randrange(total)
@@ -450,12 +448,6 @@ def measure_register(
         kept = {lbl: a * den for lbl, a in kept.items()}
         new_scale = int(new_scale * den * den)
     return outcome, SparseState(state.layout, state.backend, new_scale, kept)
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def measure_registers(state, registers, mode="seeded", rng=None):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from hspsim.cli import main
 
 
@@ -165,6 +167,24 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
     assert main(["nonsense"]) == 2
     incomplete = write(tmp_path, "inc.json", {"m": 4})
     assert main(["hsp", "solve", incomplete]) == 2
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        {"m": 1, "n": 1, "hidden_subgroup_generators": []},
+        {"m": 4, "n": 0, "hidden_subgroup_generators": []},
+        {"m": 4, "n": 2, "hidden_subgroup_generators": [[1, 2, 3]]},
+        {"m": 0, "n": 1, "hidden_subgroup_generators": [[1]]},
+    ],
+    ids=["m-one", "n-zero", "generator-length", "m-zero"],
+)
+def test_malformed_instance_exits_two(tmp_path, capsys, instance):
+    inst = write(tmp_path, "inst.json", instance)
+    assert main(["hsp", "solve", inst]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad instance file:")
 
 
 def test_assert_exact_requires_exact_backend(tmp_path, capsys):

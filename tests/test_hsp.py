@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product as cartesian
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hspsim.hsp import (
     HidingOracle,
@@ -31,6 +32,7 @@ from hspsim.lattice import (
 from hspsim.state import make_backend
 
 from conftest import enumerate_subgroup_hnfs, lattice_points
+from reduced_round_reference import reference_reduced_round
 
 
 def rep_of(rows, m, k=1):
@@ -260,6 +262,50 @@ def test_dense_and_reduced_rounds_agree(rng):
                         start=Fraction(0),
                     ) / dense.scale
                     assert got == expected
+
+
+@st.composite
+def round_instances(draw):
+    """A random subgroup of Z_m^n (m <= 12, n <= 3) by generators, and a probe."""
+    m = draw(st.integers(2, 12))
+    n = draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(0, m - 1)] * n)
+    return m, n, draw(st.lists(vec, max_size=3)), draw(vec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    round_instances(),
+    st.sampled_from(["exact", "float"]),
+    st.sampled_from(["seeded", "deterministic"]),
+    st.integers(0, 2**32),
+)
+def test_reduced_round_matches_per_class_reference(instance, backend_kind, mode, seed):
+    # the closed form (two amplitudes per index) against the original
+    # per-pairing-class round: same payloads, outputs, traces and RNG use
+    m, n, gens, probe = instance
+    rep = subgroup_from_generators(gens, m, 1, n)
+    backend = make_backend(backend_kind, _root_order(m))
+    js = probe_schedule(m)
+
+    def run(runner):
+        oracle = build_coset_oracle(rep)
+        rng = random.Random(seed) if mode == "seeded" else None
+        stats = QueryStats()
+        payloads = []
+        found, trace = runner(oracle, probe, js, mode, rng, backend, stats,
+                              lambda event, payload: payloads.append(payload))
+        counts = (oracle.counter.forward, oracle.counter.inverse)
+        state = rng.getstate() if rng is not None else None
+        return found, trace.to_dict(), payloads, stats.to_dict(), counts, state
+
+    def closed_form(oracle, probe, js, mode, rng, backend, stats, capture):
+        return hsp_round(oracle, probe, mode=mode, rng=rng, backend=backend,
+                         method="reduced", stats=stats, capture=capture, js=js)
+
+    got, want = run(closed_form), run(reference_reduced_round)
+    assert [p["j"] for p in got[2]] == js
+    assert got == want
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from itertools import product as cartesian
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hspsim.lattice import (
     IntMatrix,
@@ -227,6 +228,52 @@ def test_coset_representative_is_canonical():
         r = coset_representative(rep, v)
         diff = tuple((a - b) % 6 for a, b in zip(v, r))
         assert contains_element(rep, diff)
+
+
+@pytest.mark.parametrize(
+    "gens, m, k, n",
+    [
+        ([(3, 1)], 3, 2, 2),
+        ([(2, 1, 3), (0, 2, 2)], 2, 2, 3),
+        ([(6, 3, 0), (0, 4, 2)], 2, 3, 3),
+    ],
+)
+def test_coset_representative_matches_lattice_brute_force(gens, m, k, n):
+    # exponent k > 1: representatives lie in the fundamental box, differ from
+    # their input by a lattice point, and coincide exactly on cosets
+    rep = subgroup_from_generators(gens, m, k, n)
+    q = m**k
+    assert any(rep.hnf.data[i][j] for i in range(n) for j in range(i))
+    pts = lattice_points(rep.hnf.to_lists(), q, n)
+    box = [rep.hnf.data[i][i] for i in range(n)]
+    space = list(cartesian(range(q), repeat=n))
+    reps = {v: coset_representative(rep, v) for v in space}
+    for v, r in reps.items():
+        assert all(0 <= x < d for x, d in zip(r, box))
+        assert tuple((a - b) % q for a, b in zip(v, r)) in pts
+    for v in space:
+        for w in space:
+            same = tuple((a - b) % q for a, b in zip(v, w)) in pts
+            assert (reps[v] == reps[w]) == same
+    assert len(set(reps.values())) * len(pts) == q**n
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_subgroup_hnf_matches_hermite_normal_form(data):
+    # the multiplier-free kernel behind subgroup_from_generators must give the
+    # same basis as the public HNF of the generators plus m^k * I
+    n = data.draw(st.integers(2, 6))
+    m = data.draw(st.integers(2, 12))
+    k = data.draw(st.integers(1, 2))
+    q = m**k
+    vec = st.tuples(*[st.integers(-2 * q, 2 * q)] * n)
+    gens = data.draw(st.lists(vec, max_size=2 * n))
+    rep = subgroup_from_generators(gens, m, k, n)
+    scalar = [tuple(q if i == j else 0 for i in range(n)) for j in range(n)]
+    H, _ = hermite_normal_form(IntMatrix.from_columns(list(gens) + scalar))
+    assert rep.hnf.data == tuple(row[:n] for row in H.data)
+    assert all(v == 0 for row in H.data for v in row[n:])
 
 
 def test_equal_or_witness():
