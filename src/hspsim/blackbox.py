@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import gcd, prod
+from math import gcd
 
 from .gcdcomb import combine_many
 from .groups import BadOrderError, GroupArith, GroupBackend
@@ -71,9 +71,6 @@ class PolycyclicSeries:
 
     def __len__(self):
         return len(self.elements)
-
-    def order_bound(self) -> int:
-        return prod(self.factor_orders) if self.factor_orders else 1
 
     def prefix(self, length: int) -> "PolycyclicSeries":
         return PolycyclicSeries(self.elements[:length], self.factor_orders[:length])
@@ -160,6 +157,21 @@ def exact_swap_test(prep1, prep2, ctx: BlackboxContext, check_promise: bool = Fa
             if min(abs(rel), abs(rel - 1.0)) > 1e-9:
                 raise PromiseError("states are neither equal-up-to-phase nor orthogonal")
 
+    res = solve_hsp_zmn(
+        _swap_oracle(s1, s2),
+        mode=ctx.mode,
+        rng=ctx.rng,
+        backend=ctx.q,
+        method="dense",
+        stats=ctx.stats,
+    )
+    return 1 if res.subgroup.hnf.data[0][0] == 1 else 0
+
+
+def _swap_oracle(s1: SparseState, s2: SparseState) -> HidingOracle:
+    """The swap test's oracle over Z_2: prepare both states, swap them when
+    x = 1.  It hides Z_2 itself exactly when the states agree up to a phase."""
+    dim = s1.layout.registers[0].dim
     kind = s1.layout.registers[0].kind
     regs = (Register("w1", kind, dim), Register("w2", kind, dim))
     pair = tensor(
@@ -171,18 +183,7 @@ def exact_swap_test(prep1, prep2, ctx: BlackboxContext, check_promise: bool = Fa
     def cswap(x, v):
         return (v[1], v[0]) if x[0] == 1 else v
 
-    oracle = HidingOracle(
-        2, 1, 1, regs, prep=prep, mult=cswap, mult_inv=cswap, name="cond-swap"
-    )
-    res = solve_hsp_zmn(
-        oracle,
-        mode=ctx.mode,
-        rng=ctx.rng,
-        backend=ctx.q,
-        method="dense",
-        stats=ctx.stats,
-    )
-    return 1 if res.subgroup.hnf.data[0][0] == 1 else 0
+    return HidingOracle(2, 1, 1, regs, prep=prep, mult=cswap, mult_inv=cswap, name="cond-swap")
 
 
 def left_multiplied(state: SparseState, u: int, ctx: BlackboxContext) -> SparseState:

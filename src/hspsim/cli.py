@@ -37,7 +37,6 @@ SCHEMA = "1"
 @dataclass
 class RunConfig:
     command: str
-    input_path: str | None = None
     backend: str = "exact"
     mode: str = "seeded"
     seed: int = 0
@@ -159,6 +158,8 @@ def _cmd_lattice(args) -> int:
     elif args.op == "perp":
         if args.m is None:
             raise InputError("lattice perp needs -m")
+        if args.m < 2:
+            raise InputError(f"lattice perp needs -m >= 2, got {args.m}")
         if mat.rows != mat.cols:
             raise InputError("perp expects a square subgroup basis")
         rep = subgroup_from_generators(mat.columns(), args.m, 1, mat.rows)
@@ -177,6 +178,8 @@ def _cmd_lattice(args) -> int:
 
 def _cmd_gcd_combine(args) -> int:
     cfg = _config(args)
+    if args.m < 1:
+        raise InputError(f"gcd-combine needs -m >= 1, got {args.m}")
     zs = [z % args.m for z in args.values]
     coeffs = combine_many(zs, args.m)
     total = (sum(c * z for c, z in zip(coeffs, zs[:-1])) + zs[-1]) % args.m

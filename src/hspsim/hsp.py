@@ -16,6 +16,13 @@ amplification operator is a reflection about the prepared state, so after it
 a label's amplitude depends only on its flag bit: the reduced round computes
 two amplitudes per threshold index.  They are cross-checked in the test suite;
 the solver picks automatically by size.
+
+The Fourier-sampled state (QFT, f, QFT from |0>) depends only on the oracle
+and the amplitude backend, so the dense round computes it once per oracle and
+backend; each (probe, j) pass applies only the helper Hadamard, the flag
+write, the phase and the reflection about the prepared state it already
+holds.  Both rounds record the queries of every simulated pass by walking the
+pass circuit (`Circuit.count`).
 """
 
 from __future__ import annotations
@@ -41,8 +48,10 @@ from .state import (
     Circuit,
     ClassicalStep,
     HadamardStep,
+    PhaseStep,
     PrepStep,
     QftStep,
+    ReflectStep,
     Register,
     RegisterLayout,
     SparseState,
@@ -192,6 +201,8 @@ class HidingOracle:
         self._table = None
         self._hidden = None
         self._perp_sorted = None
+        self._sampled: dict = {}
+        self._round_pass = None
         if label_fn is not None:
             dims = [r.dim for r in self.value_registers]
 
@@ -250,6 +261,29 @@ class HidingOracle:
             self._perp_sorted = sorted(enumerate_elements(perp))
         return self._perp_sorted
 
+    def sampled_state(self, backend) -> SparseState:
+        """QFT, f, QFT over Z_m^n run from |0> on the round layout, helper
+        qubits still zero.  It depends only on the oracle and the amplitude
+        backend, so it is computed once per backend and shared by every
+        (probe, j) pass, which builds new states from it and never changes
+        it.  No query is recorded here: each pass records its own."""
+        key = (backend.name, backend.root_order)
+        phi = self._sampled.get(key)
+        if phi is None:
+            layout = sampling_layout(self, with_helpers=True)
+            phi = sampling_circuit(self).run(prepare_zero(layout, backend))
+            self._sampled[key] = phi
+        return phi
+
+    def round_pass(self) -> Circuit:
+        """One amplification pass of a round (probe 0, index -1), built once.
+        Every (probe, j) pass makes the same queries, so the reduced round
+        records its passes by walking this one."""
+        if self._round_pass is None:
+            prep = round_prep_circuit(self, (0,) * self.n, -1)
+            self._round_pass = amplitude_amplify(prep, _flag_is_set)
+        return self._round_pass
+
     def composed_with(self, section) -> "HidingOracle":
         """The oracle x -> f(section(x)) over Z_m^n; shares this oracle's counter."""
         if self.is_classical:
@@ -283,15 +317,11 @@ class OracleStep(Step):
     def apply(self, state: SparseState, stats=None) -> SparseState:
         o = self.oracle
         # accounting is driven by runs that carry a stats sink; bookkeeping
-        # passes (e.g. locating the reflection axis, which reports its own two
-        # preparation passes) run without one and stay uncounted
+        # passes (the oracle's cached sampled state, locating the reflection
+        # axis) run without one and stay uncounted, because the passes they
+        # stand in for record their queries through count()
         if stats is not None:
-            if self.inverse:
-                o.counter.inverse += 1
-                stats.f_inverse_calls += 1
-            else:
-                o.counter.forward += 1
-                stats.f_calls += 1
+            self.count(stats)
         layout = state.layout
         xi = [layout.index[f"x{i}"] for i in range(o.n)]
         vi = [layout.index[r.name] for r in o.value_registers]
@@ -325,6 +355,14 @@ class OracleStep(Step):
 
     def inverted(self) -> "OracleStep":
         return OracleStep(self.oracle, not self.inverse)
+
+    def count(self, stats, times=1):
+        if self.inverse:
+            self.oracle.counter.inverse += times
+            stats.f_inverse_calls += times
+        else:
+            self.oracle.counter.forward += times
+            stats.f_calls += times
 
 
 def build_coset_oracle(rep: SubgroupRep) -> HidingOracle:
@@ -391,20 +429,22 @@ def _root_order(m: int) -> int:
     return 4 * m // g
 
 
-def round_prep_circuit(oracle: HidingOracle, probe, j: int) -> Circuit:
-    """Preparation for one amplification pass at threshold index j."""
-    m, n = oracle.m, oracle.n
+def flag_circuit(oracle: HidingOracle, probe, j: int) -> Circuit:
+    """The part of a round's preparation that depends on the probe and j: a
+    Hadamard on the helper qubit, then the flag write."""
+    m = oracle.m
 
     def write_flag(lbl):
         pairing = sum(p * lbl[i] for i, p in enumerate(probe)) % m
         f = round_flag(m, j, pairing, lbl[-2])
         return lbl[:-1] + (lbl[-1] ^ f,)
 
-    return Circuit.of(
-        sampling_circuit(oracle),
-        HadamardStep("b"),
-        ClassicalStep(write_flag, write_flag, "flag"),
-    )
+    return Circuit.of(HadamardStep("b"), ClassicalStep(write_flag, write_flag, "flag"))
+
+
+def round_prep_circuit(oracle: HidingOracle, probe, j: int) -> Circuit:
+    """Preparation for one amplification pass at threshold index j."""
+    return Circuit.of(sampling_circuit(oracle), flag_circuit(oracle, probe, j))
 
 
 def _flag_is_set(lbl) -> bool:
@@ -414,11 +454,20 @@ def _flag_is_set(lbl) -> bool:
 def amplified_round_state(
     oracle: HidingOracle, probe, j: int, backend, stats=None
 ) -> SparseState:
-    """Post-amplification state of one (probe, j) pass, built densely."""
-    layout = sampling_layout(oracle, with_helpers=True)
-    prep = round_prep_circuit(oracle, probe, j)
-    circ = amplitude_amplify(prep, _flag_is_set)
-    return circ.run(prepare_zero(layout, backend), stats)
+    """Post-amplification state of one (probe, j) pass, built densely.
+
+    The pass is amplitude_amplify(round_prep_circuit(...)) run from |0>: prep,
+    phase i on flagged labels, reflection about prep|0>.  prep|0> is the
+    oracle's sampled state with the flag circuit applied, so neither the pass
+    nor the reflection runs the sampling circuit; the queries of the prep pass
+    are recorded all the same."""
+    flag = flag_circuit(oracle, probe, j)
+    prep = Circuit.of(sampling_circuit(oracle), flag)
+    psi = flag.run(oracle.sampled_state(backend))
+    if stats is not None:
+        prep.count(stats)
+    amplify = Circuit.of(PhaseStep(_flag_is_set, 1, "good"), ReflectStep(prep, 1, psi=psi))
+    return amplify.run(psi, stats)
 
 
 def _dense_round(oracle, probe, js, mode, rng, backend, stats, capture):
@@ -448,7 +497,7 @@ def _reduced_round(oracle, probe, js, mode, rng, backend, stats, capture):
     bit f: A_f = phase(f) * 2|H-perp| + (i - 1) * (c_0 + i c_1), where c_f
     counts the (pairing class, helper bit) pairs with flag f, weighted by the
     class sizes.  Two amplitudes per threshold index are everything."""
-    m, n = oracle.m, oracle.n
+    m = oracle.m
     elems = oracle.perp_elements()
     hn = len(elems)
     avals = [sum(p * y[i] for i, p in enumerate(probe)) % m for y in elems]
@@ -462,17 +511,13 @@ def _reduced_round(oracle, probe, js, mode, rng, backend, stats, capture):
     phases = (one, iunit)
     scale = (2 * hn) ** 3
 
+    # each index stands for one pass of the dense round's circuit
+    oracle.round_pass().count(stats, len(js))
     members: dict[int, list[int]] | None = None
     trace = RoundTrace(probe=tuple(probe))
     found = []
     for j in js:
         stats.j_probes += 1
-        stats.f_calls += 2
-        stats.f_inverse_calls += 1
-        stats.qft_calls += 4 * n
-        stats.qft_inverse_calls += 2 * n
-        oracle.counter.forward += 2
-        oracle.counter.inverse += 1
 
         flags = {a: (round_flag(m, j, a, 0), round_flag(m, j, a, 1)) for a in classes}
         counts = [0, 0]
@@ -577,9 +622,6 @@ class HspResult:
     subgroup: SubgroupRep
     stats: QueryStats
     trace: list[RoundTrace]
-
-    def __iter__(self):
-        return iter((self.subgroup, self.stats))
 
 
 def solve_hsp_zmn(

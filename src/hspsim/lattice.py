@@ -641,10 +641,6 @@ class AbelianDecomposition:
     def group_order(self) -> int:
         return prod(self.factors) if self.factors else 1
 
-    def factors_decreasing(self) -> tuple[int, ...]:
-        """The same chain listed largest-first (the other common convention)."""
-        return tuple(reversed(self.factors))
-
 
 def invariant_factor_decomposition(relations: IntMatrix, n: int) -> AbelianDecomposition:
     """Decompose Z^n modulo the column lattice of a full-rank relation matrix.

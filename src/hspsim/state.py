@@ -441,7 +441,7 @@ def measure_register(
         raise ValueError(f"unknown measurement mode {mode!r}")
 
     kept = {lbl: a for lbl, a in state.amps.items() if lbl[idx] == outcome}
-    new_scale = state.backend.mass(kept.values())
+    new_scale = masses[outcome]
     if state.backend.is_exact and isinstance(new_scale, Fraction):
         # clear the rational scale back to an integer by rescaling amplitudes
         den = new_scale.denominator
@@ -573,6 +573,10 @@ class Step:
     def inverted(self) -> "Step":
         raise NotImplementedError
 
+    def count(self, stats, times: int = 1) -> None:
+        """Record the queries that `times` applications of this step make.
+        apply() records its own when given stats; most steps make none."""
+
 
 @dataclass(frozen=True)
 class QftStep(Step):
@@ -581,11 +585,14 @@ class QftStep(Step):
 
     def apply(self, state, stats=None):
         if stats is not None:
-            if self.inverse:
-                stats.qft_inverse_calls += 1
-            else:
-                stats.qft_calls += 1
+            self.count(stats)
         return apply_qft(state, self.register, inverse=self.inverse)
+
+    def count(self, stats, times=1):
+        if self.inverse:
+            stats.qft_inverse_calls += times
+        else:
+            stats.qft_calls += times
 
     def inverted(self):
         return QftStep(self.register, not self.inverse)
@@ -699,37 +706,39 @@ class ReflectStep(Step):
     states where the injected block factors out, which mid-reflection states
     do not); the operator identity makes the result equal to the literal
     three-step composition on every input.
+
+    A caller that already holds Psi passes it as psi, and prep is then never
+    run; otherwise Psi is computed from |0> on first use.
     """
 
-    def __init__(self, prep: "Circuit", turns: int = 1):
+    def __init__(self, prep: "Circuit", turns: int = 1, psi: SparseState | None = None):
         self.prep = prep
         self.turns = turns % 4
+        self._prep_inverse = prep.inverse()
         self._psi_cache: dict = {}
+        if psi is not None:
+            self._psi_cache[self._key(psi.layout, psi.backend)] = psi
+
+    @staticmethod
+    def _key(layout: RegisterLayout, backend) -> tuple:
+        return (tuple(layout.names()), backend.name)
 
     def _psi(self, layout: RegisterLayout, backend) -> SparseState:
-        key = (tuple(layout.names()), backend.name)
+        key = self._key(layout, backend)
         psi = self._psi_cache.get(key)
         if psi is None:
             psi = self.prep.run(prepare_zero(layout, backend))
             self._psi_cache[key] = psi
         return psi
 
-    def _count_queries(self, stats) -> None:
+    def count(self, stats, times=1):
         # one inverse and one forward pass of prep per application
-        for s in self.prep.steps:
-            if isinstance(s, QftStep):
-                stats.qft_calls += 1
-                stats.qft_inverse_calls += 1
-            counter = getattr(getattr(s, "oracle", None), "counter", None)
-            if counter is not None:
-                counter.forward += 1
-                counter.inverse += 1
-                stats.f_calls += 1
-                stats.f_inverse_calls += 1
+        self._prep_inverse.count(stats, times)
+        self.prep.count(stats, times)
 
     def apply(self, state: SparseState, stats=None) -> SparseState:
         if stats is not None:
-            self._count_queries(stats)
+            self.count(stats)
         psi = self._psi(state.layout, state.backend)
         if self.turns == 0:
             return state
@@ -778,6 +787,13 @@ class Circuit:
         for s in self.steps:
             state = s.apply(state, stats)
         return state
+
+    def count(self, stats, times: int = 1) -> None:
+        """Record the queries of `times` runs without simulating them.  This
+        walk is the one query-accounting path: run() records through the same
+        per-step count() calls."""
+        for s in self.steps:
+            s.count(stats, times)
 
 
 @dataclass

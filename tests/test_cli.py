@@ -187,6 +187,24 @@ def test_malformed_instance_exits_two(tmp_path, capsys, instance):
     assert captured.err.startswith("error: bad instance file:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lattice", "perp", "{basis}", "-m", "0"],
+        ["lattice", "perp", "{basis}", "-m", "1"],
+        ["gcd-combine", "6", "10", "-m", "0"],
+        ["gcd-combine", "6", "10", "-m", "-5"],
+    ],
+    ids=["perp-m-zero", "perp-m-one", "gcd-m-zero", "gcd-m-negative"],
+)
+def test_malformed_modulus_exits_two(tmp_path, capsys, argv):
+    basis = write(tmp_path, "b.txt", "2 2\n1 0\n0 1\n")
+    assert main([a.format(basis=basis) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_assert_exact_requires_exact_backend(tmp_path, capsys):
     inst = write(
         tmp_path,

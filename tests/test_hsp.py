@@ -15,9 +15,12 @@ from hspsim.hsp import (
     is_prime,
     probe_schedule,
     round_flag,
+    round_prep_circuit,
+    sampling_layout,
     solve_hsp,
     solve_hsp_zmn,
     verify_hidden,
+    _flag_is_set,
     _root_order,
 )
 from hspsim.lattice import (
@@ -29,7 +32,16 @@ from hspsim.lattice import (
     subgroup_from_generators,
     trivial_subgroup,
 )
-from hspsim.state import make_backend
+from hspsim.state import (
+    Register,
+    RegisterLayout,
+    SparseState,
+    amplitude_amplify,
+    make_backend,
+    prepare_zero,
+)
+from hspsim import state as state_module
+from hspsim.blackbox import _swap_oracle
 
 from conftest import enumerate_subgroup_hnfs, lattice_points
 from reduced_round_reference import reference_reduced_round
@@ -197,6 +209,100 @@ def test_round_witness_index_all_good_for_odd_ratio():
     # at a non-witness index the support still contains bad labels
     state_bad = amplified_round_state(oracle, (1,), 0, backend)
     assert any(lbl[flag_idx] == 0 for lbl in state_bad.amps)
+
+
+def literal_round_state(oracle, probe, j, backend, stats=None):
+    """Reference for amplified_round_state: the whole pass run from |0>, which
+    runs the sampling circuit once for the pass and once more to locate the
+    reflection axis."""
+    layout = sampling_layout(oracle, with_helpers=True)
+    circ = amplitude_amplify(round_prep_circuit(oracle, probe, j), _flag_is_set)
+    return circ.run(prepare_zero(layout, backend), stats)
+
+
+def assert_round_states_match(make_oracle, probe, backend, js):
+    # every pass on one oracle (the later ones reuse its sampled state) against
+    # the literal pass on a fresh oracle: same scale, amplitudes in the same
+    # order, query counts and oracle counters
+    oracle, ref_oracle = make_oracle(), make_oracle()
+    stats, ref_stats = QueryStats(), QueryStats()
+    for j in js:
+        got = amplified_round_state(oracle, probe, j, backend, stats)
+        want = literal_round_state(ref_oracle, probe, j, backend, ref_stats)
+        assert got.layout == want.layout
+        assert got.scale == want.scale
+        assert list(got.amps.items()) == list(want.amps.items())
+    assert stats.to_dict() == ref_stats.to_dict()
+    assert vars(oracle.counter) == vars(ref_oracle.counter)
+
+
+@st.composite
+def small_round_instances(draw):
+    """A random subgroup of Z_m^n with m <= 6, n <= 3 and m^n <= 36 (small
+    enough for the literal pass), and a probe."""
+    m, n = draw(st.sampled_from(
+        [(m, n) for m in range(2, 7) for n in range(1, 4) if m**n <= 36]
+    ))
+    vec = st.tuples(*[st.integers(0, m - 1)] * n)
+    return m, n, draw(st.lists(vec, max_size=2)), draw(vec)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_round_instances(), st.sampled_from(["exact", "float"]))
+def test_round_state_matches_the_literal_pass(instance, backend_kind):
+    m, n, gens, probe = instance
+    rep = subgroup_from_generators(gens, m, 1, n)
+    backend = make_backend(backend_kind, _root_order(m))
+    assert_round_states_match(lambda: build_coset_oracle(rep), probe, backend,
+                              probe_schedule(m))
+
+
+@st.composite
+def swap_pairs(draw):
+    """Two unit-modulus states on one digit register, amplitudes powers of i."""
+    dim = draw(st.integers(2, 4))
+
+    def one_state():
+        support = draw(st.sets(st.integers(0, dim - 1), min_size=1))
+        return {v: draw(st.integers(0, 3)) for v in sorted(support)}
+
+    return dim, one_state(), one_state()
+
+
+@settings(max_examples=30, deadline=None)
+@given(swap_pairs(), st.sampled_from(["exact", "float"]))
+def test_swap_test_round_state_matches_the_literal_pass(pair, backend_kind):
+    # the state-valued conditional-swap oracle of the swap test
+    dim, amps1, amps2 = pair
+    backend = make_backend(backend_kind, _root_order(2))
+    layout = RegisterLayout([Register("w", "digit", dim)])
+
+    def state(amps):
+        return SparseState(layout, backend, len(amps),
+                           {(v,): backend.root(e) for v, e in amps.items()})
+
+    s1, s2 = state(amps1), state(amps2)
+    assert_round_states_match(lambda: _swap_oracle(s1, s2), (1,), backend,
+                              probe_schedule(2))
+
+
+def test_dense_solve_runs_the_sampling_transforms_once(monkeypatch):
+    # the sampled state is computed once per oracle and backend: one QFT per
+    # coordinate before the query and one after, for the whole solve
+    calls = []
+    real_qft = state_module.apply_qft
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real_qft(*args, **kwargs)
+
+    monkeypatch.setattr(state_module, "apply_qft", counted)
+    m, n = 6, 2
+    rep = subgroup_from_generators([(2, 3)], m, 1, n)
+    res = solve_hsp_zmn(build_coset_oracle(rep), mode="deterministic", method="dense")
+    assert res.subgroup.hnf == rep.hnf
+    assert res.stats.j_probes > 1
+    assert calls == ["x0", "x1", "x0", "x1"]
 
 
 def test_dense_and_reduced_rounds_agree(rng):
