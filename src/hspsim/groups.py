@@ -93,8 +93,13 @@ class TableBackend(GroupBackend):
         self.size = len(self.table)
         if any(len(row) != self.size for row in self.table):
             raise ValueError("multiplication table must be square")
+        if any(not 0 <= v < self.size for row in self.table for v in row):
+            raise ValueError(f"table entries must lie in range({self.size})")
         self.l_bits = max(1, (self.size - 1).bit_length())
         self.generators = [int(g) for g in generators]
+        for g in self.generators:
+            if not 0 <= g < self.size:
+                raise ValueError(f"generator {g} is not a table index in range({self.size})")
 
     def mul(self, a: int, b: int) -> int:
         self.mul_calls += 1
@@ -147,6 +152,8 @@ def load_group(obj) -> tuple[GroupBackend, int]:
         obj = json.loads(obj)
     kind = obj.get("kind")
     m = int(obj.get("m", 2))
+    if m < 2:
+        raise ValueError(f"working modulus m must be at least 2, got {m}")
     if kind == "permutation":
         backend = PermutationBackend(int(obj["degree"]), obj["generators"])
     elif kind == "table":

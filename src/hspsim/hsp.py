@@ -14,8 +14,12 @@ state machinery through the full circuit, and a reduced one that evaluates the
 same amplitudes on the pairing-value classes of the sampled register.  The
 amplification operator is a reflection about the prepared state, so after it
 a label's amplitude depends only on its flag bit: the reduced round computes
-two amplitudes per threshold index.  They are cross-checked in the test suite;
-the solver picks automatically by size.
+two amplitudes per threshold index.  They are cross-checked in the test suite.
+The reduced round needs the hidden subgroup's complement, so it runs on
+classical label oracles (picked automatically by size) and on oracles built
+knowing their hidden subgroup: the swap test's oracle on its promise.  Other
+state-valued oracles, such as those of abelian presentations, run the dense
+round.
 
 The Fourier-sampled state (QFT, f, QFT from |0>) depends only on the oracle
 and the amplitude backend, so the dense round computes it once per oracle and
@@ -175,7 +179,9 @@ class HidingOracle:
     Classical oracles are built from a label function and write the value into
     digit registers additively (self-inverse on zeroed targets for dimension
     2).  State-valued oracles supply an x-independent preparation of the value
-    block plus an x-controlled bijection of it.
+    block plus an x-controlled bijection of it.  An oracle built with `hidden`
+    is known to hide that subgroup, so reduced rounds can run on it even when
+    it is state-valued.
     """
 
     def __init__(
@@ -191,7 +197,13 @@ class HidingOracle:
         mult_inv=None,
         counter: CallCounter | None = None,
         name: str = "",
+        hidden: SubgroupRep | None = None,
     ):
+        if hidden is not None and (hidden.m, hidden.k, hidden.n) != (m, k, n):
+            raise ValueError(
+                f"hidden subgroup has (m, k, n) = {(hidden.m, hidden.k, hidden.n)}, "
+                f"the oracle {(m, k, n)}"
+            )
         self.m, self.k, self.n = m, k, n
         self.value_registers = tuple(value_registers)
         self.counter = counter if counter is not None else CallCounter()
@@ -199,7 +211,7 @@ class HidingOracle:
         self.label_fn = label_fn
         self.prep = prep
         self._table = None
-        self._hidden = None
+        self._hidden = hidden
         self._perp_sorted = None
         self._sampled: dict = {}
         self._round_pass = None
@@ -244,8 +256,15 @@ class HidingOracle:
             }
         return self._table
 
+    @property
+    def hidden_known(self) -> bool:
+        """Whether hidden_subgroup() is available without simulating a query:
+        supplied at construction, or readable from a classical label table."""
+        return self._hidden is not None or self.is_classical
+
     def hidden_subgroup(self) -> SubgroupRep:
-        """The subgroup this oracle hides, read off the fiber of f over f(0)."""
+        """The subgroup this oracle hides: the one it was built with, or else
+        the one read off the fiber of f over f(0)."""
         if self._hidden is None:
             tab = self.table()
             f0 = tab[(0,) * self.n]
@@ -607,8 +626,10 @@ def hsp_round(
     use_reduced = method == "reduced" or (
         method == "auto" and oracle.is_classical and oracle.m**oracle.n > DENSE_CUTOFF
     )
-    if use_reduced and not oracle.is_classical:
-        raise ValueError("reduced rounds need a classical label oracle")
+    if use_reduced and not oracle.hidden_known:
+        raise ValueError(
+            "reduced rounds need a classical label oracle or a known hidden subgroup"
+        )
     runner = _reduced_round if use_reduced else _dense_round
     return runner(oracle, probe, js, mode, rng, backend, stats, capture)
 

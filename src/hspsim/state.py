@@ -392,27 +392,28 @@ def measure_register(
 
     seeded mode samples the exact marginal distribution (exact integer/rational
     sampling on the exact backend).  deterministic mode returns the smallest
-    register value present in the support; when expect_partition is supplied,
-    the support must not straddle the partition predicate, otherwise the
-    measurement faults.
+    register value present in the support and computes only that value's
+    mass; when expect_partition is supplied, the support must not straddle the
+    partition predicate, otherwise the measurement faults.
     """
     idx = state.layout.index[register]
     groups: dict[int, list] = {}
     for lbl, amp in state.amps.items():
         groups.setdefault(lbl[idx], []).append(amp)
-    masses = {v: state.backend.mass(amps) for v, amps in groups.items()}
 
     if mode == "deterministic":
         if expect_partition is not None:
-            classes = {bool(expect_partition(v)) for v in masses}
+            classes = {bool(expect_partition(v)) for v in groups}
             if len(classes) > 1:
                 raise MeasurementNotDetermined(
                     f"support of {register} straddles the announced partition"
                 )
-        outcome = min(masses)
+        outcome = min(groups)
+        new_scale = state.backend.mass(groups[outcome])
     elif mode == "seeded":
         if rng is None:
             raise ValueError("seeded measurement needs an rng")
+        masses = {v: state.backend.mass(amps) for v, amps in groups.items()}
         values = sorted(masses)
         if state.backend.is_exact:
             fracs = [_exact_fraction(masses[v]) for v in values]
@@ -437,11 +438,11 @@ def measure_register(
                 if t < acc:
                     outcome = v
                     break
+        new_scale = masses[outcome]
     else:
         raise ValueError(f"unknown measurement mode {mode!r}")
 
     kept = {lbl: a for lbl, a in state.amps.items() if lbl[idx] == outcome}
-    new_scale = masses[outcome]
     if state.backend.is_exact and isinstance(new_scale, Fraction):
         # clear the rational scale back to an integer by rescaling amplitudes
         den = new_scale.denominator
@@ -809,27 +810,13 @@ class StatePrep:
         return Circuit.of(PrepStep(self))
 
 
-def amplitude_amplify(prep: Circuit, good, literal: bool = False) -> Circuit:
+def amplitude_amplify(prep: Circuit, good) -> Circuit:
     """One exact amplification pass: prep, phase i on good labels, inverse prep,
     phase i on the all-zero label, prep again.
 
     When the good squared amplitude of prep|0> is exactly one half, the result
     has exactly zero mass outside the good labels; when it is zero, it stays
     zero.  The trailing three factors are applied as a single reflection about
-    prep|0> (the identical operator); literal=True materializes them step by
-    step instead, which works only when every step of prep is individually
-    invertible on arbitrary states.
+    prep|0> (the identical operator).
     """
-
-    def all_zero(label):
-        return not any(label)
-
-    if literal:
-        return Circuit.of(
-            prep,
-            PhaseStep(good, 1, "good"),
-            prep.inverse(),
-            PhaseStep(all_zero, 1, "zero"),
-            prep,
-        )
     return Circuit.of(prep, PhaseStep(good, 1, "good"), ReflectStep(prep, 1))

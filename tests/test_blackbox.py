@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hspsim import blackbox
+from hspsim import state as state_module
 from hspsim.blackbox import (
     BadOrder,
     BlackboxContext,
@@ -17,10 +20,20 @@ from hspsim.blackbox import (
     group_order,
     left_multiplied,
     order_modulo,
+    solve_hsp_zmn,
     superposition_membership,
+    _swap_oracle,
 )
 from hspsim.groups import TableBackend, UnitsBackend
-from hspsim.state import conditional_phase_i, prepare_basis, states_equal
+from hspsim.hsp import QueryStats
+from hspsim.state import (
+    Register,
+    RegisterLayout,
+    SparseState,
+    conditional_phase_i,
+    prepare_basis,
+    states_equal,
+)
 
 from conftest import (
     ZOO,
@@ -45,8 +58,6 @@ def ctx_for(make):
 
 def uniform_state(ctx, codes):
     layout = ctx.identity_state().layout
-    from hspsim.state import SparseState
-
     amps = {(c,): ctx.q.one for c in codes}
     return SparseState(layout, ctx.q, len(codes), amps)
 
@@ -93,6 +104,151 @@ def test_swap_promise_violation_detected():
         exact_swap_test(a, both, ctx, check_promise=True)
     # without the check the run completes (outcome is unspecified by contract)
     exact_swap_test(a, both, ctx)
+
+
+def swap_test_with_solve(s1, s2, ctx):
+    """exact_swap_test's answer with the solve it ran: HNF, trace, query
+    counts and the oracle's counters."""
+    solves = []
+
+    def recording(oracle, **kwargs):
+        res = real_solve(oracle, **kwargs)
+        solves.append((oracle, res))
+        return res
+
+    real_solve = blackbox.solve_hsp_zmn
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(blackbox, "solve_hsp_zmn", recording)
+        answer = exact_swap_test(s1, s2, ctx)
+    [(oracle, res)] = solves
+    return _solve_record(answer, oracle, res)
+
+
+def dense_swap_test(s1, s2, ctx):
+    """The swap test as a dense-round solve of its conditional-swap oracle."""
+    oracle = _swap_oracle(s1, s2)
+    res = solve_hsp_zmn(oracle, mode=ctx.mode, rng=ctx.rng, backend=ctx.q,
+                        method="dense", stats=QueryStats())
+    return _solve_record(1 if res.subgroup.hnf.data[0][0] == 1 else 0, oracle, res)
+
+
+def _solve_record(answer, oracle, res):
+    return (answer, res.subgroup.hnf, [t.to_dict() for t in res.trace],
+            res.stats.to_dict(), vars(oracle.counter))
+
+
+def assert_swap_test_matches_dense(make_ctx, make_pair, expected):
+    """exact_swap_test against the dense solve, each on a fresh context: the
+    answer always, and in deterministic mode the HNF, trace, query counts and
+    oracle counters as well."""
+    ctx = make_ctx()
+    got = swap_test_with_solve(*make_pair(ctx), ctx)
+    ctx = make_ctx()
+    want = dense_swap_test(*make_pair(ctx), ctx)
+    assert got[0] == want[0] == expected
+    if ctx.mode == "deterministic":
+        assert got == want
+
+
+@st.composite
+def promise_pairs(draw):
+    """Two states on one digit register, amplitudes powers of i, that keep the
+    swap test's promise: equal up to a power of i, orthogonal with disjoint
+    supports, or orthogonal on the first state's support with half its signs
+    flipped.  Returned as (dim, first, second, whether they are equal)."""
+    dim = draw(st.integers(2, 4))
+    support = sorted(draw(st.sets(st.integers(0, dim - 1), min_size=1)))
+    first = {v: draw(st.integers(0, 3)) for v in support}
+    kind = draw(st.sampled_from(["equal", "disjoint", "flipped"]))
+    if kind == "disjoint" and len(support) == dim:
+        kind = "flipped"
+    if kind == "flipped" and len(support) == 1:
+        kind = "disjoint"
+    if kind == "equal":
+        turn = draw(st.integers(0, 3))
+        second = {v: (e + turn) % 4 for v, e in first.items()}
+    elif kind == "disjoint":
+        rest = [v for v in range(dim) if v not in first]
+        second = {v: draw(st.integers(0, 3))
+                  for v in sorted(draw(st.sets(st.sampled_from(rest), min_size=1)))}
+    else:
+        keep = support[: len(support) // 2 * 2]
+        flipped = set(draw(st.permutations(keep))[: len(keep) // 2])
+        second = {v: (first[v] + 2 * (v in flipped)) % 4 for v in keep}
+    return dim, first, second, kind == "equal"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    promise_pairs(),
+    st.sampled_from(["exact", "float"]),
+    st.sampled_from(["deterministic", "seeded"]),
+    st.integers(0, 2**32),
+)
+def test_swap_test_on_the_promise_matches_the_dense_solve(pair, amp_backend, mode, seed):
+    dim, first, second, equal = pair
+    backend, m = make_s3()
+
+    def make_ctx():
+        return BlackboxContext(backend, m, amp_backend=amp_backend, mode=mode, seed=seed)
+
+    def make_pair(ctx):
+        layout = RegisterLayout([Register("w", "digit", dim)])
+        quarter = ctx.q.root_order // 4
+
+        def state(turns):
+            amps = {(v,): ctx.q.root(quarter * e) for v, e in turns.items()}
+            return SparseState(layout, ctx.q, len(amps), amps)
+
+        return state(first), state(second)
+
+    assert_swap_test_matches_dense(make_ctx, make_pair, int(equal))
+
+
+@pytest.mark.parametrize("name", sorted(ZOO))
+@pytest.mark.parametrize("amp_backend", ["exact", "float"])
+def test_swap_test_on_zoo_translates_matches_the_dense_solve(name, amp_backend):
+    # K = <g> for the first generator g, against its left translates by a
+    # member and by a non-member of K
+    backend, m = ZOO[name][0]()
+    elements, identity = backend_elements(backend)
+    sub = closure(backend.mul, backend.generators[:1], identity)
+    outside = sorted(elements - sub)
+
+    def make_ctx():
+        return BlackboxContext(backend, m, amp_backend=amp_backend)
+
+    for u in [max(sub)] + outside[:1]:
+
+        def make_pair(ctx):
+            k_state = uniform_state(ctx, sub)
+            return k_state, left_multiplied(k_state, u, ctx)
+
+        assert_swap_test_matches_dense(make_ctx, make_pair, int(u in sub))
+
+
+def test_swap_test_on_the_promise_runs_no_transform(monkeypatch):
+    # the overlap decides the hidden subgroup, so no QFT is simulated; the
+    # query counts still charge the circuit's transforms
+    calls = []
+    real_qft = state_module.apply_qft
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real_qft(*args, **kwargs)
+
+    monkeypatch.setattr(state_module, "apply_qft", counted)
+    backend, m, ctx = ctx_for(make_s3)
+    elements, identity = backend_elements(backend)
+    sub = closure(backend.mul, [backend.generators[1]], identity)
+    k_state = uniform_state(ctx, sub)
+    assert exact_swap_test(k_state, k_state, ctx) == 1
+    assert exact_swap_test(k_state, left_multiplied(k_state, backend.generators[0], ctx), ctx) == 0
+    assert ctx.stats.qft_calls > 0
+    assert calls == []
+    # off the promise the dense round still runs
+    exact_swap_test(ctx.identity_state(), uniform_state(ctx, sorted(sub)), ctx)
+    assert calls
 
 
 def test_swap_deterministic_across_seeds():

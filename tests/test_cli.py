@@ -205,6 +205,23 @@ def test_malformed_modulus_exits_two(tmp_path, capsys, argv):
     assert captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "group",
+    [
+        {"kind": "units", "modulus": 15, "m": 0, "generators": [2, 14]},
+        {"kind": "table", "size": 2, "m": 2, "table": [[0, 1], [1, 0]], "generators": [5]},
+        {"kind": "table", "size": 2, "m": 2, "table": [[0, 1], [1, 7]], "generators": [1]},
+    ],
+    ids=["m-zero", "table-generator-outside", "table-entry-outside"],
+)
+def test_malformed_group_exits_two(tmp_path, capsys, group):
+    grp = write(tmp_path, "group.json", group)
+    assert main(["group", "order", grp]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad group file:")
+
+
 def test_assert_exact_requires_exact_backend(tmp_path, capsys):
     inst = write(
         tmp_path,

@@ -110,6 +110,34 @@ def test_hand_rolled_oracle_agrees_with_packaged():
     assert res.subgroup.hnf.to_lists() == [[2, 0], [0, 3]]
 
 
+def _state_oracle(m, k, n, hidden=None):
+    """A state-valued oracle that nothing here queries: it only carries a
+    shape and, optionally, a known hidden subgroup."""
+    regs = [Register("v0", "digit", 2)]
+    return HidingOracle(m, k, n, regs, mult=lambda x, v: v, mult_inv=lambda x, v: v,
+                        hidden=hidden)
+
+
+@pytest.mark.parametrize("hidden", [
+    trivial_subgroup(2, 1, 2), trivial_subgroup(4, 2, 2), trivial_subgroup(4, 1, 3),
+], ids=["m", "k", "n"])
+def test_known_hidden_subgroup_must_match_the_oracle_shape(hidden):
+    with pytest.raises(ValueError):
+        _state_oracle(4, 1, 2, hidden)
+
+
+def test_known_hidden_subgroup_enables_reduced_rounds():
+    rep = subgroup_from_generators([(2, 0)], 4, 1, 2)
+    oracle = _state_oracle(4, 1, 2, rep)
+    assert oracle.hidden_subgroup() is rep
+    # a probe inside the subgroup pairs to zero with all of its complement, a
+    # probe outside it does not
+    assert hsp_round(oracle, (2, 0), mode="deterministic", method="reduced")[0] == []
+    assert hsp_round(oracle, (1, 0), mode="deterministic", method="reduced")[0]
+    with pytest.raises(ValueError):
+        hsp_round(_state_oracle(4, 1, 2), (1, 0), mode="deterministic", method="reduced")
+
+
 # ---------------------------------------------------------------------------
 # Fourier sampling
 
