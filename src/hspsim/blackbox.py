@@ -191,14 +191,19 @@ def _swap_oracle(
 ) -> HidingOracle:
     """The swap test's oracle over Z_2: prepare both states, swap them when
     x = 1.  It hides Z_2 itself exactly when the states agree up to a phase;
-    `hidden` passes that subgroup on when the caller already knows it."""
+    `hidden` passes that subgroup on when the caller already knows it.  The
+    |K|^2-label pair state is built when a simulated step first reads it, so
+    a reduced solve never builds it."""
     dim = s1.layout.registers[0].dim
     kind = s1.layout.registers[0].kind
     regs = (Register("w1", kind, dim), Register("w2", kind, dim))
-    pair = tensor(
-        rename_register(s1, s1.layout.registers[0].name, "w1"),
-        rename_register(s2, s2.layout.registers[0].name, "w2"),
-    )
+
+    def pair() -> SparseState:
+        return tensor(
+            rename_register(s1, s1.layout.registers[0].name, "w1"),
+            rename_register(s2, s2.layout.registers[0].name, "w2"),
+        )
+
     prep = StatePrep(("w1", "w2"), pair, "swap-pair")
 
     def cswap(x, v):

@@ -8,8 +8,11 @@ Reports are JSON (schema "1") on stdout or to a file.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import os
 import sys
+from contextlib import redirect_stdout
 from dataclasses import dataclass
 from math import gcd as _gcd
 
@@ -398,12 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+def _run(args) -> int:
     try:
         return args.func(args)
     except InputError as exc:
@@ -412,6 +410,29 @@ def main(argv=None) -> int:
     except (bb.PromiseError, BadOrderError, SimulationError) as exc:
         print(f"promise violation: {exc}", file=sys.stderr)
         return 1
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return 2 if exc.code not in (0, None) else 0
+    # the report is written only once the command has its exit code, so a
+    # reader that closes the pipe early cannot change that code
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = _run(args)
+    try:
+        sys.stdout.write(out.getvalue())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # nobody reads the report; point stdout at devnull so that the flush
+        # at interpreter exit does not fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

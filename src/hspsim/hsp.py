@@ -14,10 +14,14 @@ state machinery through the full circuit, and a reduced one that evaluates the
 same amplitudes on the pairing-value classes of the sampled register.  The
 amplification operator is a reflection about the prepared state, so after it
 a label's amplitude depends only on its flag bit: the reduced round computes
-two amplitudes per threshold index.  They are cross-checked in the test suite.
-The reduced round needs the hidden subgroup's complement, so it runs on
-classical label oracles (picked automatically by size) and on oracles built
-knowing their hidden subgroup: the swap test's oracle on its promise.  Other
+two amplitudes per threshold index, both Gaussian integers, and weighs the
+classes by their integer norms on either amplitude backend.  The two rounds
+are cross-checked in the test suite.
+
+The reduced round needs the hidden subgroup's complement.  Coset oracles
+(`build_coset_oracle`) and the swap test's oracle on its promise declare the
+subgroup they hide, so a reduced solve on them reads no label table; other
+classical oracles read it off their label table, built on first use.  Other
 state-valued oracles, such as those of abelian presentations, run the dense
 round.
 
@@ -25,8 +29,9 @@ The Fourier-sampled state (QFT, f, QFT from |0>) depends only on the oracle
 and the amplitude backend, so the dense round computes it once per oracle and
 backend; each (probe, j) pass applies only the helper Hadamard, the flag
 write, the phase and the reflection about the prepared state it already
-holds.  Both rounds record the queries of every simulated pass by walking the
-pass circuit (`Circuit.count`).
+holds.  Both rounds record the queries of every simulated pass from the pass
+circuit (`Circuit.count`): the dense round walks it per pass, the reduced
+round scales a tally walked once per oracle.
 """
 
 from __future__ import annotations
@@ -119,13 +124,13 @@ class QueryStats:
     reduction_rounds: int = 0
     reduction_solves: int = 0
 
-    def merge(self, other: "QueryStats") -> None:
-        self.f_calls += other.f_calls
-        self.f_inverse_calls += other.f_inverse_calls
-        self.qft_calls += other.qft_calls
-        self.qft_inverse_calls += other.qft_inverse_calls
-        self.rounds += other.rounds
-        self.j_probes += other.j_probes
+    def merge(self, other: "QueryStats", times: int = 1) -> None:
+        self.f_calls += times * other.f_calls
+        self.f_inverse_calls += times * other.f_inverse_calls
+        self.qft_calls += times * other.qft_calls
+        self.qft_inverse_calls += times * other.qft_inverse_calls
+        self.rounds += times * other.rounds
+        self.j_probes += times * other.j_probes
 
     def to_dict(self) -> dict:
         return {
@@ -214,7 +219,7 @@ class HidingOracle:
         self._hidden = hidden
         self._perp_sorted = None
         self._sampled: dict = {}
-        self._round_pass = None
+        self._pass_tally = None
         if label_fn is not None:
             dims = [r.dim for r in self.value_registers]
 
@@ -294,14 +299,25 @@ class HidingOracle:
             self._sampled[key] = phi
         return phi
 
-    def round_pass(self) -> Circuit:
-        """One amplification pass of a round (probe 0, index -1), built once.
-        Every (probe, j) pass makes the same queries, so the reduced round
-        records its passes by walking this one."""
-        if self._round_pass is None:
+    def record_passes(self, stats: "QueryStats", passes: int) -> None:
+        """Record the queries of `passes` amplification passes of a round in
+        stats and in the call counter.  Every (probe, j) pass makes the same
+        queries, so one pass (probe 0, index -1) is walked once per oracle
+        with `Circuit.count`, the one accounting path, and its tally scaled."""
+        if self._pass_tally is None:
+            counter = self.counter
+            before = (counter.forward, counter.inverse)
+            tally = QueryStats()
             prep = round_prep_circuit(self, (0,) * self.n, -1)
-            self._round_pass = amplitude_amplify(prep, _flag_is_set)
-        return self._round_pass
+            amplitude_amplify(prep, _flag_is_set).count(tally)
+            calls = (counter.forward - before[0], counter.inverse - before[1])
+            # the walk only took the tally; the passes are recorded below
+            counter.forward, counter.inverse = before
+            self._pass_tally = (tally, calls)
+        tally, (forward, inverse) = self._pass_tally
+        stats.merge(tally, passes)
+        self.counter.forward += passes * forward
+        self.counter.inverse += passes * inverse
 
     def composed_with(self, section) -> "HidingOracle":
         """The oracle x -> f(section(x)) over Z_m^n; shares this oracle's counter."""
@@ -375,18 +391,20 @@ class OracleStep(Step):
     def inverted(self) -> "OracleStep":
         return OracleStep(self.oracle, not self.inverse)
 
-    def count(self, stats, times=1):
+    def count(self, stats):
         if self.inverse:
-            self.oracle.counter.inverse += times
-            stats.f_inverse_calls += times
+            self.oracle.counter.inverse += 1
+            stats.f_inverse_calls += 1
         else:
-            self.oracle.counter.forward += times
-            stats.f_calls += times
+            self.oracle.counter.forward += 1
+            stats.f_calls += 1
 
 
 def build_coset_oracle(rep: SubgroupRep) -> HidingOracle:
     """Test oracle hiding exactly the given subgroup: f maps x to the canonical
-    representative of its coset, written into n digit registers."""
+    representative of its coset, written into n digit registers.  The oracle
+    declares rep as its hidden subgroup, so its label table is built only when
+    a value is read (dense rounds, verify_hidden)."""
     q = rep.modulus
     regs = [Register(f"v{i}", "digit", q) for i in range(rep.n)]
     return HidingOracle(
@@ -396,6 +414,7 @@ def build_coset_oracle(rep: SubgroupRep) -> HidingOracle:
         regs,
         label_fn=lambda x: coset_representative(rep, x),
         name="coset",
+        hidden=rep,
     )
 
 
@@ -515,7 +534,13 @@ def _reduced_round(oracle, probe, js, mode, rng, backend, stats, capture):
     prepared state, so the final amplitude on a label depends only on its flag
     bit f: A_f = phase(f) * 2|H-perp| + (i - 1) * (c_0 + i c_1), where c_f
     counts the (pairing class, helper bit) pairs with flag f, weighted by the
-    class sizes.  Two amplitudes per threshold index are everything."""
+    class sizes.  Two amplitudes per threshold index are everything.
+
+    Both amplitudes are Gaussian integers, kept as pairs (re, im): their norms
+    are integers, so the normalization check is exact and the sampling weights
+    are the same on both backends.  Backend amplitudes are built only for the
+    capture payload.  The hidden subgroup comes from the oracle: declared, or
+    read off its label table."""
     m = oracle.m
     elems = oracle.perp_elements()
     hn = len(elems)
@@ -524,14 +549,10 @@ def _reduced_round(oracle, probe, js, mode, rng, backend, stats, capture):
     for a in avals:
         na[a] += 1
     classes = [a for a in range(m) if na[a]]
-    iunit = backend.imag_unit()
-    one = backend.one
-    im1 = iunit - one if backend.is_exact else iunit - 1.0
-    phases = (one, iunit)
     scale = (2 * hn) ** 3
 
     # each index stands for one pass of the dense round's circuit
-    oracle.round_pass().count(stats, len(js))
+    oracle.record_passes(stats, len(js))
     members: dict[int, list[int]] | None = None
     trace = RoundTrace(probe=tuple(probe))
     found = []
@@ -543,24 +564,23 @@ def _reduced_round(oracle, probe, js, mode, rng, backend, stats, capture):
         for a in classes:
             for f in flags[a]:
                 counts[f] += na[a]
-        z = one * counts[0] + iunit * counts[1]
-        amps = [phases[f] * (2 * hn) + im1 * z for f in (0, 1)]
-        if backend.is_exact:
-            norms = [backend.abs2(v).rational_value() for v in amps]
-            if counts[0] * norms[0] + counts[1] * norms[1] != scale:
-                raise AssertionError("reduced-round normalization check failed")
-        else:
-            norms = [backend.abs2(v) for v in amps]
-        nonzero = [not backend.is_zero(v, scale) for v in amps]
-        support_a = [a for a in classes if nonzero[flags[a][0]] or nonzero[flags[a][1]]]
+        # (i - 1)(c_0 + i c_1) = -(c_0 + c_1) + i (c_0 - c_1)
+        re, im = -(counts[0] + counts[1]), counts[0] - counts[1]
+        amps = [(re + 2 * hn, im), (re, im + 2 * hn)]
+        norms = [x * x + y * y for x, y in amps]
+        if counts[0] * norms[0] + counts[1] * norms[1] != scale:
+            raise AssertionError("reduced-round normalization check failed")
+        support_a = [a for a in classes if norms[flags[a][0]] or norms[flags[a][1]]]
         if capture is not None:
+            one, iunit = backend.one, backend.imag_unit()
+            values = [one * x + iunit * y for x, y in amps]
             capture(
                 "round_reduced",
                 {
                     "probe": tuple(probe),
                     "j": j,
                     "na": list(na),
-                    "amp": {(a, b): amps[flags[a][b]] for a in classes for b in (0, 1)},
+                    "amp": {(a, b): values[flags[a][b]] for a in classes for b in (0, 1)},
                     "scale": scale,
                     "support_a": list(support_a),
                 },
@@ -572,12 +592,8 @@ def _reduced_round(oracle, probe, js, mode, rng, backend, stats, capture):
             weights = [
                 (norms[flags[a][0]] + norms[flags[a][1]]) * na[a] for a in support_a
             ]
-            if backend.is_exact:
-                total = sum(weights)
-                t = rng.randrange(total)
-            else:
-                total = float(sum(weights))
-                t = rng.random() * total
+            total = sum(weights)
+            t = rng.randrange(total) if backend.is_exact else rng.random() * total
             acc = 0
             a_pick = support_a[-1]
             for a, w in zip(support_a, weights):

@@ -574,8 +574,8 @@ class Step:
     def inverted(self) -> "Step":
         raise NotImplementedError
 
-    def count(self, stats, times: int = 1) -> None:
-        """Record the queries that `times` applications of this step make.
+    def count(self, stats) -> None:
+        """Record the queries that one application of this step makes.
         apply() records its own when given stats; most steps make none."""
 
 
@@ -589,11 +589,11 @@ class QftStep(Step):
             self.count(stats)
         return apply_qft(state, self.register, inverse=self.inverse)
 
-    def count(self, stats, times=1):
+    def count(self, stats):
         if self.inverse:
-            stats.qft_inverse_calls += times
+            stats.qft_inverse_calls += 1
         else:
-            stats.qft_calls += times
+            stats.qft_calls += 1
 
     def inverted(self):
         return QftStep(self.register, not self.inverse)
@@ -732,10 +732,10 @@ class ReflectStep(Step):
             self._psi_cache[key] = psi
         return psi
 
-    def count(self, stats, times=1):
+    def count(self, stats):
         # one inverse and one forward pass of prep per application
-        self._prep_inverse.count(stats, times)
-        self.prep.count(stats, times)
+        self._prep_inverse.count(stats)
+        self.prep.count(stats)
 
     def apply(self, state: SparseState, stats=None) -> SparseState:
         if stats is not None:
@@ -789,22 +789,32 @@ class Circuit:
             state = s.apply(state, stats)
         return state
 
-    def count(self, stats, times: int = 1) -> None:
-        """Record the queries of `times` runs without simulating them.  This
-        walk is the one query-accounting path: run() records through the same
-        per-step count() calls."""
+    def count(self, stats) -> None:
+        """Record the queries of one run without simulating it.  This walk is
+        the one query-accounting path: run() records through the same per-step
+        count() calls."""
         for s in self.steps:
-            s.count(stats, times)
+            s.count(stats)
 
 
-@dataclass
 class StatePrep:
     """A preparation procedure identified with the state it produces from zeros
-    on a named register block."""
+    on a named register block.
 
-    registers: tuple[str, ...]
-    state: SparseState
-    tag: str = ""
+    The state may be given as a function of no arguments instead; it is then
+    computed on the first read of `state`, so a preparation that no simulated
+    step ever applies never builds its state."""
+
+    def __init__(self, registers, state, tag: str = ""):
+        self.registers = tuple(registers)
+        self._state = state
+        self.tag = tag
+
+    @property
+    def state(self) -> SparseState:
+        if not isinstance(self._state, SparseState):
+            self._state = self._state()
+        return self._state
 
     def as_circuit(self) -> Circuit:
         return Circuit.of(PrepStep(self))

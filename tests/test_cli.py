@@ -296,3 +296,23 @@ def test_selftest_command(capsys):
     assert code == 0
     assert report["ok"] is True
     assert report["failures"] == []
+
+
+def test_closed_pipe_keeps_the_exit_code(tmp_path):
+    # a reader that closes the pipe early loses the report, but the run still
+    # ends with the command's own exit code and no traceback
+    import os, subprocess, sys
+
+    inst = write(tmp_path, "inst.json",
+                 {"m": 6, "k": 1, "n": 2, "hidden_subgroup_generators": [[2, 3]]})
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hspsim.cli", "hsp", "solve", inst, "--assert-exact"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == ""

@@ -416,19 +416,21 @@ def round_instances(draw):
 )
 def test_reduced_round_matches_per_class_reference(instance, backend_kind, mode, seed):
     # the closed form (two amplitudes per index) against the original
-    # per-pairing-class round: same payloads, outputs, traces and RNG use
+    # per-pairing-class round: same payloads, outputs, traces and RNG use,
+    # and the same outputs when nothing captures the payloads
     m, n, gens, probe = instance
     rep = subgroup_from_generators(gens, m, 1, n)
     backend = make_backend(backend_kind, _root_order(m))
     js = probe_schedule(m)
 
-    def run(runner):
+    def run(runner, capture=True):
         oracle = build_coset_oracle(rep)
         rng = random.Random(seed) if mode == "seeded" else None
         stats = QueryStats()
         payloads = []
         found, trace = runner(oracle, probe, js, mode, rng, backend, stats,
-                              lambda event, payload: payloads.append(payload))
+                              (lambda event, payload: payloads.append(payload))
+                              if capture else None)
         counts = (oracle.counter.forward, oracle.counter.inverse)
         state = rng.getstate() if rng is not None else None
         return found, trace.to_dict(), payloads, stats.to_dict(), counts, state
@@ -440,6 +442,9 @@ def test_reduced_round_matches_per_class_reference(instance, backend_kind, mode,
     got, want = run(closed_form), run(reference_reduced_round)
     assert [p["j"] for p in got[2]] == js
     assert got == want
+    uncaptured = run(closed_form, capture=False)
+    assert uncaptured[2] == []
+    assert uncaptured[:2] + uncaptured[3:] == want[:2] + want[3:]
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +518,35 @@ def test_query_accounting_matches_the_schedule():
     assert stats.f_calls == oracle.counter.forward
     assert stats.f_inverse_calls == oracle.counter.inverse
     assert stats.qft_calls + stats.qft_inverse_calls == 6 * n * stats.j_probes
+
+
+@pytest.mark.parametrize("m,k,n", [(6, 1, 3), (8, 1, 3), (12, 1, 3), (2, 2, 3), (3, 2, 2),
+                                   (4, 2, 2)])
+def test_reduced_solve_reads_no_label_table(m, k, n):
+    # a coset oracle declares its subgroup, so a reduced solve builds no q^n
+    # label table; the same label function behind an oracle that does not
+    # declare it (the subgroup then read off the table) is the reference
+    hnfs = enumerate_subgroup_hnfs(m, n, k)
+    for rows in random.Random(m * 10 + k).sample(hnfs, 3):
+        rep = SubgroupRep(m, k, n, IntMatrix.from_rows(rows))
+        for mode, seed in (("deterministic", None), ("seeded", 11)):
+            declared = build_coset_oracle(rep)
+            label_fn, calls = declared.label_fn, []
+            declared.label_fn = lambda x: calls.append(x) or label_fn(x)
+            table_read = HidingOracle(m, k, n, declared.value_registers,
+                                      label_fn=label_fn, name="coset")
+            solve = solve_hsp_zmn if k == 1 else solve_hsp
+            runs = []
+            for oracle in (declared, table_read):
+                res = solve(oracle, mode=mode, seed=seed, method="reduced")
+                runs.append((res.subgroup.hnf, [t.to_dict() for t in res.trace],
+                             res.stats.to_dict(),
+                             (oracle.counter.forward, oracle.counter.inverse)))
+            assert runs[0] == runs[1]
+            assert runs[0][0].data == rows
+            # only the composed exponent-1 oracles of a k >= 2 solve, of m^n
+            # labels each, read values
+            assert len(calls) == runs[0][2]["reduction_solves"] * m**n
 
 
 def test_float_backend_solves_match_exact():
