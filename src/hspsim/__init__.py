@@ -29,6 +29,7 @@ from .groups import (
     BadOrderError,
     GroupArith,
     GroupBackend,
+    NotAGroupError,
     PermutationBackend,
     TableBackend,
     UnitsBackend,

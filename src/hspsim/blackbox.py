@@ -180,7 +180,6 @@ def exact_swap_test(prep1, prep2, ctx: BlackboxContext, check_promise: bool = Fa
         mode=ctx.mode,
         rng=ctx.rng,
         backend=ctx.q,
-        method="dense" if hidden is None else "reduced",
         stats=ctx.stats,
     )
     return 1 if res.subgroup.hnf.data[0][0] == 1 else 0

@@ -18,7 +18,7 @@ from math import gcd as _gcd
 
 from . import blackbox as bb
 from .gcdcomb import combine_many
-from .groups import BadOrderError, load_group
+from .groups import BadOrderError, NotAGroupError, load_group
 from .hsp import build_coset_oracle, solve_hsp, verify_hidden
 from .lattice import (
     IntMatrix,
@@ -209,6 +209,11 @@ def _cmd_group(args) -> int:
     payload = _read_json(args.group)
     try:
         backend, m = load_group(payload)
+    except NotAGroupError as exc:
+        report = {"command": f"group {args.op}", "status": "not-a-group"}
+        report["reason"] = str(exc)
+        _emit(report, cfg)
+        return 1
     except (KeyError, ValueError) as exc:
         raise InputError(f"bad group file: {exc}") from exc
     ctx = bb.BlackboxContext(

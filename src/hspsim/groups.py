@@ -21,6 +21,10 @@ class BadOrderError(GroupError):
     """An element's order has a prime factor outside the working modulus."""
 
 
+class NotAGroupError(GroupError):
+    """A multiplication table that is not the table of a group."""
+
+
 class GroupBackend:
     """Shared surface: code length l_bits, generator codes, and mul()."""
 
@@ -146,8 +150,32 @@ class UnitsBackend(GroupBackend):
         return code
 
 
+def check_group_table(table) -> None:
+    """Raise NotAGroupError unless a square table with entries in range(t) is
+    the multiplication table of a group: a Latin square with a two-sided
+    identity (a loop) whose product is associative, checked on all t^3
+    triples."""
+    t = len(table)
+    full = set(range(t))
+    if any(set(row) != full for row in table):
+        raise NotAGroupError("a row of the table is not a permutation")
+    if any(set(col) != full for col in zip(*table)):
+        raise NotAGroupError("a column of the table is not a permutation")
+    ids = list(range(t))
+    e = next((e for e in ids if list(table[e]) == ids), None)
+    if e is None or any(table[x][e] != x for x in ids):
+        raise NotAGroupError("the table has no identity element")
+    for a, row_a in enumerate(table):
+        for b, row_b in enumerate(table):
+            row_ab = table[row_a[b]]
+            for c, bc in enumerate(row_b):
+                if row_ab[c] != row_a[bc]:
+                    raise NotAGroupError(f"(a*b)*c != a*(b*c) at a, b, c = {a}, {b}, {c}")
+
+
 def load_group(obj) -> tuple[GroupBackend, int]:
-    """Build a backend from its JSON description; returns (backend, m)."""
+    """Build a backend from its JSON description; returns (backend, m).  A
+    table that is not a group raises NotAGroupError."""
     if isinstance(obj, str):
         obj = json.loads(obj)
     kind = obj.get("kind")
@@ -160,6 +188,7 @@ def load_group(obj) -> tuple[GroupBackend, int]:
         backend = TableBackend(obj["table"], obj.get("generators", []))
         if len(backend.table) != int(obj.get("size", backend.size)):
             raise ValueError("table size field disagrees with data")
+        check_group_table(backend.table)
     elif kind == "units":
         backend = UnitsBackend(int(obj["modulus"]), obj["generators"])
     else:

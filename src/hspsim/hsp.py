@@ -18,26 +18,28 @@ two amplitudes per threshold index, both Gaussian integers, and weighs the
 classes by their integer norms on either amplitude backend.  The two rounds
 are cross-checked in the test suite.
 
-The reduced round needs the hidden subgroup's complement.  Coset oracles
-(`build_coset_oracle`) and the swap test's oracle on its promise declare the
-subgroup they hide, so a reduced solve on them reads no label table; other
-classical oracles read it off their label table, built on first use.  Other
-state-valued oracles, such as those of abelian presentations, run the dense
-round.
+The reduced round needs the hidden subgroup's complement, so method="auto"
+runs it exactly when the oracle knows that subgroup (`hidden_known`).  Coset
+oracles (`build_coset_oracle`) and the swap test's oracle on its promise
+declare the subgroup they hide, so a reduced solve on them reads no label
+table; other classical oracles read it off their label table, built on first
+use.  Other state-valued oracles, such as those of abelian presentations
+modulo a nontrivial subgroup, run the dense round.
 
 The Fourier-sampled state (QFT, f, QFT from |0>) depends only on the oracle
 and the amplitude backend, so the dense round computes it once per oracle and
 backend; each (probe, j) pass applies only the helper Hadamard, the flag
 write, the phase and the reflection about the prepared state it already
-holds.  Both rounds record the queries of every simulated pass from the pass
-circuit (`Circuit.count`): the dense round walks it per pass, the reduced
-round scales a tally walked once per oracle.
+holds.  Running a circuit records no query: `Circuit.count` is the one
+accounting path.  Every (probe, j) pass makes the same queries, so both
+rounds record theirs with `HidingOracle.record_passes`, which scales a tally
+of one pass circuit walked once per oracle.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import product as _cartesian
 
 from .lattice import (
@@ -72,8 +74,6 @@ from .state import (
     prepare_zero,
 )
 
-DENSE_CUTOFF = 64  # label-space size up to which the dense round is the default
-
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -106,12 +106,6 @@ def probe_schedule(m: int) -> list[int]:
 
 
 @dataclass
-class CallCounter:
-    forward: int = 0
-    inverse: int = 0
-
-
-@dataclass
 class QueryStats:
     """Oracle and transform accounting for one solve."""
 
@@ -125,24 +119,12 @@ class QueryStats:
     reduction_solves: int = 0
 
     def merge(self, other: "QueryStats", times: int = 1) -> None:
-        self.f_calls += times * other.f_calls
-        self.f_inverse_calls += times * other.f_inverse_calls
-        self.qft_calls += times * other.qft_calls
-        self.qft_inverse_calls += times * other.qft_inverse_calls
-        self.rounds += times * other.rounds
-        self.j_probes += times * other.j_probes
+        for f in fields(self):
+            name = f.name
+            setattr(self, name, getattr(self, name) + times * getattr(other, name))
 
     def to_dict(self) -> dict:
-        return {
-            "f_calls": self.f_calls,
-            "f_inverse_calls": self.f_inverse_calls,
-            "qft_calls": self.qft_calls,
-            "qft_inverse_calls": self.qft_inverse_calls,
-            "rounds": self.rounds,
-            "j_probes": self.j_probes,
-            "reduction_rounds": self.reduction_rounds,
-            "reduction_solves": self.reduction_solves,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -179,7 +161,7 @@ class RoundTrace:
 
 
 class HidingOracle:
-    """Reversible realization of |x>|0> -> |x>|f(x)> with call counters.
+    """Reversible realization of |x>|0> -> |x>|f(x)>.
 
     Classical oracles are built from a label function and write the value into
     digit registers additively (self-inverse on zeroed targets for dimension
@@ -200,7 +182,6 @@ class HidingOracle:
         prep=None,
         mult=None,
         mult_inv=None,
-        counter: CallCounter | None = None,
         name: str = "",
         hidden: SubgroupRep | None = None,
     ):
@@ -211,7 +192,6 @@ class HidingOracle:
             )
         self.m, self.k, self.n = m, k, n
         self.value_registers = tuple(value_registers)
-        self.counter = counter if counter is not None else CallCounter()
         self.name = name
         self.label_fn = label_fn
         self.prep = prep
@@ -301,26 +281,17 @@ class HidingOracle:
 
     def record_passes(self, stats: "QueryStats", passes: int) -> None:
         """Record the queries of `passes` amplification passes of a round in
-        stats and in the call counter.  Every (probe, j) pass makes the same
-        queries, so one pass (probe 0, index -1) is walked once per oracle
-        with `Circuit.count`, the one accounting path, and its tally scaled."""
+        stats.  Every (probe, j) pass makes the same queries, so one pass
+        (probe 0, index -1) is walked once per oracle with `Circuit.count`,
+        the one accounting path, and its tally scaled."""
         if self._pass_tally is None:
-            counter = self.counter
-            before = (counter.forward, counter.inverse)
-            tally = QueryStats()
+            self._pass_tally = QueryStats()
             prep = round_prep_circuit(self, (0,) * self.n, -1)
-            amplitude_amplify(prep, _flag_is_set).count(tally)
-            calls = (counter.forward - before[0], counter.inverse - before[1])
-            # the walk only took the tally; the passes are recorded below
-            counter.forward, counter.inverse = before
-            self._pass_tally = (tally, calls)
-        tally, (forward, inverse) = self._pass_tally
-        stats.merge(tally, passes)
-        self.counter.forward += passes * forward
-        self.counter.inverse += passes * inverse
+            amplitude_amplify(prep, _flag_is_set).count(self._pass_tally)
+        stats.merge(self._pass_tally, passes)
 
     def composed_with(self, section) -> "HidingOracle":
-        """The oracle x -> f(section(x)) over Z_m^n; shares this oracle's counter."""
+        """The oracle x -> f(section(x)) over Z_m^n."""
         if self.is_classical:
             return HidingOracle(
                 self.m,
@@ -328,7 +299,6 @@ class HidingOracle:
                 self.n,
                 self.value_registers,
                 label_fn=lambda x: self.label_fn(section(x)),
-                counter=self.counter,
                 name=f"{self.name}.section",
             )
         return HidingOracle(
@@ -339,7 +309,6 @@ class HidingOracle:
             prep=self.prep,
             mult=lambda x, v: self.mult(section(x), v),
             mult_inv=lambda x, v: self.mult_inv(section(x), v),
-            counter=self.counter,
             name=f"{self.name}.section",
         )
 
@@ -349,14 +318,8 @@ class OracleStep(Step):
     oracle: HidingOracle
     inverse: bool = False
 
-    def apply(self, state: SparseState, stats=None) -> SparseState:
+    def apply(self, state: SparseState) -> SparseState:
         o = self.oracle
-        # accounting is driven by runs that carry a stats sink; bookkeeping
-        # passes (the oracle's cached sampled state, locating the reflection
-        # axis) run without one and stay uncounted, because the passes they
-        # stand in for record their queries through count()
-        if stats is not None:
-            self.count(stats)
         layout = state.layout
         xi = [layout.index[f"x{i}"] for i in range(o.n)]
         vi = [layout.index[r.name] for r in o.value_registers]
@@ -393,10 +356,8 @@ class OracleStep(Step):
 
     def count(self, stats):
         if self.inverse:
-            self.oracle.counter.inverse += 1
             stats.f_inverse_calls += 1
         else:
-            self.oracle.counter.forward += 1
             stats.f_calls += 1
 
 
@@ -453,7 +414,9 @@ def fourier_sample(oracle: HidingOracle, backend=None, stats=None) -> SparseStat
         backend = make_backend("exact", root_order=_root_order(oracle.m))
     layout = sampling_layout(oracle)
     circ = sampling_circuit(oracle)
-    return circ.run(prepare_zero(layout, backend), stats)
+    if stats is not None:
+        circ.count(stats)
+    return circ.run(prepare_zero(layout, backend))
 
 
 def sampling_circuit(oracle: HidingOracle) -> Circuit:
@@ -489,31 +452,29 @@ def _flag_is_set(lbl) -> bool:
     return lbl[-1] == 1
 
 
-def amplified_round_state(
-    oracle: HidingOracle, probe, j: int, backend, stats=None
-) -> SparseState:
+def amplified_round_state(oracle: HidingOracle, probe, j: int, backend) -> SparseState:
     """Post-amplification state of one (probe, j) pass, built densely.
 
     The pass is amplitude_amplify(round_prep_circuit(...)) run from |0>: prep,
     phase i on flagged labels, reflection about prep|0>.  prep|0> is the
     oracle's sampled state with the flag circuit applied, so neither the pass
-    nor the reflection runs the sampling circuit; the queries of the prep pass
-    are recorded all the same."""
+    nor the reflection runs the sampling circuit.  No query is recorded here:
+    the round records its passes with `HidingOracle.record_passes`."""
     flag = flag_circuit(oracle, probe, j)
     prep = Circuit.of(sampling_circuit(oracle), flag)
     psi = flag.run(oracle.sampled_state(backend))
-    if stats is not None:
-        prep.count(stats)
     amplify = Circuit.of(PhaseStep(_flag_is_set, 1, "good"), ReflectStep(prep, 1, psi=psi))
-    return amplify.run(psi, stats)
+    return amplify.run(psi)
 
 
 def _dense_round(oracle, probe, js, mode, rng, backend, stats, capture):
     n = oracle.n
+    # each index runs one pass of the round circuit
+    oracle.record_passes(stats, len(js))
     trace = RoundTrace(probe=tuple(probe))
     found = []
     for j in js:
-        state = amplified_round_state(oracle, probe, j, backend, stats)
+        state = amplified_round_state(oracle, probe, j, backend)
         stats.j_probes += 1
         if capture is not None:
             capture("round_state", {"probe": tuple(probe), "j": j, "state": state})
@@ -639,9 +600,7 @@ def hsp_round(
         backend = make_backend("exact", _root_order(oracle.m))
     if js is None:
         js = probe_schedule(oracle.m)
-    use_reduced = method == "reduced" or (
-        method == "auto" and oracle.is_classical and oracle.m**oracle.n > DENSE_CUTOFF
-    )
+    use_reduced = method == "reduced" or (method == "auto" and oracle.hidden_known)
     if use_reduced and not oracle.hidden_known:
         raise ValueError(
             "reduced rounds need a classical label oracle or a known hidden subgroup"

@@ -568,15 +568,15 @@ def states_close(a: SparseState, b: SparseState, tol: float = 1e-9) -> bool:
 
 
 class Step:
-    def apply(self, state: SparseState, stats=None) -> SparseState:
+    def apply(self, state: SparseState) -> SparseState:
         raise NotImplementedError
 
     def inverted(self) -> "Step":
         raise NotImplementedError
 
     def count(self, stats) -> None:
-        """Record the queries that one application of this step makes.
-        apply() records its own when given stats; most steps make none."""
+        """Record the queries that one application of this step makes; most
+        steps make none."""
 
 
 @dataclass(frozen=True)
@@ -584,9 +584,7 @@ class QftStep(Step):
     register: str
     inverse: bool = False
 
-    def apply(self, state, stats=None):
-        if stats is not None:
-            self.count(stats)
+    def apply(self, state):
         return apply_qft(state, self.register, inverse=self.inverse)
 
     def count(self, stats):
@@ -603,7 +601,7 @@ class QftStep(Step):
 class HadamardStep(Step):
     register: str
 
-    def apply(self, state, stats=None):
+    def apply(self, state):
         return apply_hadamard(state, self.register)
 
     def inverted(self):
@@ -618,7 +616,7 @@ class PhaseStep(Step):
     turns: int = 1
     tag: str = ""
 
-    def apply(self, state, stats=None):
+    def apply(self, state):
         return conditional_phase_i(state, self.predicate, turns=self.turns)
 
     def inverted(self):
@@ -631,7 +629,7 @@ class ClassicalStep(Step):
     backward: object
     tag: str = ""
 
-    def apply(self, state, stats=None):
+    def apply(self, state):
         return apply_classical_map(state, self.forward)
 
     def inverted(self):
@@ -649,7 +647,7 @@ class PrepStep(Step):
     prep: "StatePrep"
     inverse: bool = False
 
-    def apply(self, state, stats=None):
+    def apply(self, state):
         regs = list(self.prep.registers)
         idxs = [state.layout.index[r] for r in regs]
         psi = self.prep.state
@@ -737,9 +735,7 @@ class ReflectStep(Step):
         self._prep_inverse.count(stats)
         self.prep.count(stats)
 
-    def apply(self, state: SparseState, stats=None) -> SparseState:
-        if stats is not None:
-            self.count(stats)
+    def apply(self, state: SparseState) -> SparseState:
         psi = self._psi(state.layout, state.backend)
         if self.turns == 0:
             return state
@@ -784,15 +780,15 @@ class Circuit:
     def inverse(self) -> "Circuit":
         return Circuit(tuple(s.inverted() for s in reversed(self.steps)))
 
-    def run(self, state: SparseState, stats=None) -> SparseState:
+    def run(self, state: SparseState) -> SparseState:
         for s in self.steps:
-            state = s.apply(state, stats)
+            state = s.apply(state)
         return state
 
     def count(self, stats) -> None:
         """Record the queries of one run without simulating it.  This walk is
-        the one query-accounting path: run() records through the same per-step
-        count() calls."""
+        the one query-accounting path: run() records nothing, so a caller that
+        simulates a circuit counts it here."""
         for s in self.steps:
             s.count(stats)
 

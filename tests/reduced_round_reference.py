@@ -37,8 +37,6 @@ def reference_reduced_round(oracle, probe, js, mode, rng, backend, stats, captur
         stats.f_inverse_calls += 1
         stats.qft_calls += 4 * n
         stats.qft_inverse_calls += 2 * n
-        oracle.counter.forward += 2
-        oracle.counter.inverse += 1
 
         flags = [(round_flag(m, j, a, 0), round_flag(m, j, a, 1)) for a in range(m)]
         phases = (one, iunit)

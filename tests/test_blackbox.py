@@ -107,21 +107,21 @@ def test_swap_promise_violation_detected():
 
 
 def swap_test_with_solve(s1, s2, ctx):
-    """exact_swap_test's answer with the solve it ran: HNF, trace, query
-    counts and the oracle's counters."""
+    """exact_swap_test's answer with the solve it ran: HNF, trace and query
+    counts."""
     solves = []
 
     def recording(oracle, **kwargs):
         res = real_solve(oracle, **kwargs)
-        solves.append((oracle, res))
+        solves.append(res)
         return res
 
     real_solve = blackbox.solve_hsp_zmn
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(blackbox, "solve_hsp_zmn", recording)
         answer = exact_swap_test(s1, s2, ctx)
-    [(oracle, res)] = solves
-    return _solve_record(answer, oracle, res)
+    [res] = solves
+    return _solve_record(answer, res)
 
 
 def dense_swap_test(s1, s2, ctx):
@@ -129,18 +129,18 @@ def dense_swap_test(s1, s2, ctx):
     oracle = _swap_oracle(s1, s2)
     res = solve_hsp_zmn(oracle, mode=ctx.mode, rng=ctx.rng, backend=ctx.q,
                         method="dense", stats=QueryStats())
-    return _solve_record(1 if res.subgroup.hnf.data[0][0] == 1 else 0, oracle, res)
+    return _solve_record(1 if res.subgroup.hnf.data[0][0] == 1 else 0, res)
 
 
-def _solve_record(answer, oracle, res):
+def _solve_record(answer, res):
     return (answer, res.subgroup.hnf, [t.to_dict() for t in res.trace],
-            res.stats.to_dict(), vars(oracle.counter))
+            res.stats.to_dict())
 
 
 def assert_swap_test_matches_dense(make_ctx, make_pair, expected):
     """exact_swap_test against the dense solve, each on a fresh context: the
-    answer always, and in deterministic mode the HNF, trace, query counts and
-    oracle counters as well."""
+    answer always, and in deterministic mode the HNF, trace and query counts
+    as well."""
     ctx = make_ctx()
     got = swap_test_with_solve(*make_pair(ctx), ctx)
     ctx = make_ctx()

@@ -130,6 +130,23 @@ def test_group_bad_order_report(tmp_path, capsys):
     assert report["status"] == "bad-order"
 
 
+@pytest.mark.parametrize(
+    "table",
+    [
+        [[0, 1], [1, 1]],
+        # a loop of order 5: a Latin square with identity 0, not associative
+        [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
+    ],
+    ids=["not-latin", "loop-of-order-5"],
+)
+def test_group_table_that_is_not_a_group_is_rejected(tmp_path, capsys, table):
+    grp = write(tmp_path, "magma.json", {"kind": "table", "table": table, "generators": [1], "m": 2})
+    code, report = run_cli(capsys, "group", "order", grp)
+    assert code == 1
+    assert report["status"] == "not-a-group"
+    assert "order" not in report
+
+
 def test_group_decompose_command(tmp_path, capsys):
     grp = write(
         tmp_path,

@@ -167,7 +167,6 @@ def test_fourier_sample_counts_queries():
     fourier_sample(oracle, stats=stats)
     assert stats.f_calls == 1
     assert stats.qft_calls == 4
-    assert oracle.counter.forward == 1
 
 
 # ---------------------------------------------------------------------------
@@ -239,29 +238,30 @@ def test_round_witness_index_all_good_for_odd_ratio():
     assert any(lbl[flag_idx] == 0 for lbl in state_bad.amps)
 
 
-def literal_round_state(oracle, probe, j, backend, stats=None):
+def literal_round_state(oracle, probe, j, backend, stats):
     """Reference for amplified_round_state: the whole pass run from |0>, which
     runs the sampling circuit once for the pass and once more to locate the
-    reflection axis."""
+    reflection axis, with its queries counted on the pass's own circuit."""
     layout = sampling_layout(oracle, with_helpers=True)
     circ = amplitude_amplify(round_prep_circuit(oracle, probe, j), _flag_is_set)
-    return circ.run(prepare_zero(layout, backend), stats)
+    circ.count(stats)
+    return circ.run(prepare_zero(layout, backend))
 
 
 def assert_round_states_match(make_oracle, probe, backend, js):
     # every pass on one oracle (the later ones reuse its sampled state) against
     # the literal pass on a fresh oracle: same scale, amplitudes in the same
-    # order, query counts and oracle counters
+    # order, and the oracle's per-pass tally equal to each pass's query count
     oracle, ref_oracle = make_oracle(), make_oracle()
     stats, ref_stats = QueryStats(), QueryStats()
     for j in js:
-        got = amplified_round_state(oracle, probe, j, backend, stats)
+        got = amplified_round_state(oracle, probe, j, backend)
+        oracle.record_passes(stats, 1)
         want = literal_round_state(ref_oracle, probe, j, backend, ref_stats)
         assert got.layout == want.layout
         assert got.scale == want.scale
         assert list(got.amps.items()) == list(want.amps.items())
     assert stats.to_dict() == ref_stats.to_dict()
-    assert vars(oracle.counter) == vars(ref_oracle.counter)
 
 
 @st.composite
@@ -431,9 +431,8 @@ def test_reduced_round_matches_per_class_reference(instance, backend_kind, mode,
         found, trace = runner(oracle, probe, js, mode, rng, backend, stats,
                               (lambda event, payload: payloads.append(payload))
                               if capture else None)
-        counts = (oracle.counter.forward, oracle.counter.inverse)
         state = rng.getstate() if rng is not None else None
-        return found, trace.to_dict(), payloads, stats.to_dict(), counts, state
+        return found, trace.to_dict(), payloads, stats.to_dict(), state
 
     def closed_form(oracle, probe, js, mode, rng, backend, stats, capture):
         return hsp_round(oracle, probe, mode=mode, rng=rng, backend=backend,
@@ -496,6 +495,40 @@ def test_solve_methods_agree_everywhere():
             d = [(a.j, a.x, a.pairing) for t in dense.trace for a in t.attempts]
             r = [(a.j, a.x, a.pairing) for t in reduced.trace for a in t.attempts]
             assert d == r
+            assert dense.stats.to_dict() == reduced.stats.to_dict()
+
+
+def test_auto_runs_the_reduced_round_exactly_when_the_hidden_subgroup_is_known(
+    monkeypatch,
+):
+    import hspsim.hsp as hsp_module
+
+    dense_calls = []
+    real_dense = hsp_module._dense_round
+
+    def recording(oracle, *args):
+        dense_calls.append(oracle.name)
+        return real_dense(oracle, *args)
+
+    monkeypatch.setattr(hsp_module, "_dense_round", recording)
+    # small classical coset oracles, declared or read off the label table
+    for m, n in [(2, 1), (2, 2), (3, 2), (4, 2)]:
+        for rows in enumerate_subgroup_hnfs(m, n):
+            rep = rep_of([list(r) for r in rows], m)
+            declared = build_coset_oracle(rep)
+            table_read = HidingOracle(m, 1, n, declared.value_registers,
+                                      label_fn=declared.label_fn, name="coset")
+            for oracle in (declared, table_read):
+                res = solve_hsp_zmn(oracle, mode="seeded", seed=1)
+                assert res.subgroup.hnf.data == rows
+    assert dense_calls == []
+    # a state-valued oracle built without its hidden subgroup
+    backend = make_backend("exact", _root_order(2))
+    layout = RegisterLayout([Register("w", "digit", 2)])
+    basis = [SparseState(layout, backend, 1, {(v,): backend.one}) for v in (0, 1)]
+    res = solve_hsp_zmn(_swap_oracle(*basis), mode="deterministic", backend=backend)
+    assert res.subgroup.hnf.data == ((2,),)
+    assert dense_calls and set(dense_calls) == {"cond-swap"}
 
 
 def test_solve_seeded_reproducible():
@@ -515,8 +548,6 @@ def test_query_accounting_matches_the_schedule():
     per_round = len(probe_schedule(m))
     assert stats.j_probes == stats.rounds * per_round
     assert stats.f_calls + stats.f_inverse_calls == 3 * stats.j_probes
-    assert stats.f_calls == oracle.counter.forward
-    assert stats.f_inverse_calls == oracle.counter.inverse
     assert stats.qft_calls + stats.qft_inverse_calls == 6 * n * stats.j_probes
 
 
@@ -540,8 +571,7 @@ def test_reduced_solve_reads_no_label_table(m, k, n):
             for oracle in (declared, table_read):
                 res = solve(oracle, mode=mode, seed=seed, method="reduced")
                 runs.append((res.subgroup.hnf, [t.to_dict() for t in res.trace],
-                             res.stats.to_dict(),
-                             (oracle.counter.forward, oracle.counter.inverse)))
+                             res.stats.to_dict()))
             assert runs[0] == runs[1]
             assert runs[0][0].data == rows
             # only the composed exponent-1 oracles of a k >= 2 solve, of m^n
