@@ -33,12 +33,14 @@ from .lattice import (
     xgcd,
 )
 from .state import (
+    Circuit,
+    QftStep,
     Register,
     RegisterLayout,
     SparseState,
     StatePrep,
+    Step,
     apply_classical_map,
-    apply_qft,
     drop_register,
     factor_split,
     inner_product_unscaled,
@@ -311,24 +313,48 @@ def order_modulo(g: int, sub_state: SparseState, ctx: BlackboxContext) -> int:
 # Superposition pyramid
 
 
+@dataclass(frozen=True)
+class _TranslateStep(Step):
+    """|y>|g> -> |y>|u^y g> on a digit and a content register, given the
+    powers u^0..u^(m-1): one query of the order-finding oracle."""
+
+    digit: str
+    content: str
+    upow: tuple
+    arith: GroupArith
+
+    def apply(self, state: SparseState) -> SparseState:
+        yi, ci = state.layout.index[self.digit], state.layout.index[self.content]
+
+        def translate(lbl):
+            out = list(lbl)
+            out[ci] = self.arith.mul(self.upow[lbl[yi]], lbl[ci])
+            return tuple(out)
+
+        return apply_classical_map(state, translate)
+
+    def count(self, stats) -> None:
+        stats.f_calls += 1
+
+
+def _phase_sampling_circuit(
+    digit: str, content: str, u: int, ctx: BlackboxContext
+) -> Circuit:
+    """Transform the digit, translate the content by u^digit, transform again."""
+    upow = tuple(ctx.power(u, t) for t in range(ctx.m))
+    qft = QftStep(digit)
+    return Circuit.of(qft, _TranslateStep(digit, content, upow, ctx.arith), qft)
+
+
 def _sample_coset_phases(state: SparseState, u: int, ctx: BlackboxContext):
     """Fourier sampling of left translation by u on one subgroup-superposition
     register: attach a digit, transform, multiply, transform, measure.  Returns
     (measured index, collapsed register state)."""
-    m = ctx.m
     name = state.layout.registers[0].name
-    digit = prepare_zero(RegisterLayout([Register("y", "digit", m)]), ctx.q)
-    work = tensor(digit, state)
-    work = apply_qft(work, "y")
-    upow = [ctx.power(u, t) for t in range(m)]
-
-    def translate(lbl):
-        return (lbl[0], ctx.arith.mul(upow[lbl[0]], lbl[1]))
-
-    work = apply_classical_map(work, translate)
-    work = apply_qft(work, "y")
-    ctx.stats.qft_calls += 2
-    ctx.stats.f_calls += 1
+    digit = prepare_zero(RegisterLayout([Register("y", "digit", ctx.m)]), ctx.q)
+    circ = _phase_sampling_circuit("y", name, u, ctx)
+    circ.count(ctx.stats)
+    work = circ.run(tensor(digit, state))
     y, work = measure_register(work, "y", mode=ctx.mode, rng=ctx.rng)
     work = drop_register(work, "y")
     return y, rename_register(work, work.layout.registers[0].name, name)
@@ -449,21 +475,10 @@ def _extend_superposition_coherent(copies, u: int, ctx: BlackboxContext):
         digit = prepare_zero(RegisterLayout([Register(f"y{i}", "digit", m)]), ctx.q)
         part = tensor(digit, st)
         big = part if big is None else tensor(big, part)
-    upow = [ctx.power(u, t) for t in range(m)]
     for i in range(s):
-        big = apply_qft(big, f"y{i}")
-        yi = big.layout.index[f"y{i}"]
-        ci = big.layout.index[f"c{i}"]
-
-        def translate(lbl, yi=yi, ci=ci):
-            out = list(lbl)
-            out[ci] = ctx.arith.mul(upow[lbl[yi]], lbl[ci])
-            return tuple(out)
-
-        big = apply_classical_map(big, translate)
-        big = apply_qft(big, f"y{i}")
-        ctx.stats.qft_calls += 2
-        ctx.stats.f_calls += 1
+        circ = _phase_sampling_circuit(f"y{i}", f"c{i}", u, ctx)
+        circ.count(ctx.stats)
+        big = circ.run(big)
 
     y_idx = [big.layout.index[f"y{i}"] for i in range(s)]
     c_idx = [big.layout.index[f"c{i}"] for i in range(s)]

@@ -214,7 +214,7 @@ def _cmd_group(args) -> int:
         report["reason"] = str(exc)
         _emit(report, cfg)
         return 1
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad group file: {exc}") from exc
     ctx = bb.BlackboxContext(
         backend, m, amp_backend=cfg.backend, mode=cfg.mode, seed=cfg.seed

@@ -114,6 +114,23 @@ class CycloField:
                     out[i] += c * r
         return Cyclotomic(self, tuple(out))
 
+    def conj_dot(self, pairs) -> "Cyclotomic":
+        """sum conj(a) * b over (a, b) pairs of elements of this field, reduced
+        once: conj(w^i) * w^j = w^(j-i), so every product is accumulated as raw
+        coefficients over powers of w and the total goes through one from_raw.
+        Canonical residues are unique, so the result equals the term-by-term
+        fold exactly."""
+        raw = [0] * self.order
+        for a, b in pairs:
+            nzb = [(j, c) for j, c in enumerate(b.coeffs) if c]
+            for i, ai in enumerate(a.coeffs):
+                if ai:
+                    # |j - i| < degree <= order: a negative index wraps to
+                    # j - i + order, the same power of w
+                    for j, bj in nzb:
+                        raw[j - i] += ai * bj
+        return self.from_raw(raw)
+
     def from_rational(self, value) -> "Cyclotomic":
         out = [0] * self.degree
         out[0] = value

@@ -97,8 +97,9 @@ class TableBackend(GroupBackend):
         self.size = len(self.table)
         if any(len(row) != self.size for row in self.table):
             raise ValueError("multiplication table must be square")
-        if any(not 0 <= v < self.size for row in self.table for v in row):
-            raise ValueError(f"table entries must lie in range({self.size})")
+        entries = (v for row in self.table for v in row)
+        if any(type(v) is not int or not 0 <= v < self.size for v in entries):
+            raise ValueError(f"table entries must be integers in range({self.size})")
         self.l_bits = max(1, (self.size - 1).bit_length())
         self.generators = [int(g) for g in generators]
         for g in self.generators:

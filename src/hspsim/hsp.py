@@ -24,7 +24,12 @@ oracles (`build_coset_oracle`) and the swap test's oracle on its promise
 declare the subgroup they hide, so a reduced solve on them reads no label
 table; other classical oracles read it off their label table, built on first
 use.  Other state-valued oracles, such as those of abelian presentations
-modulo a nontrivial subgroup, run the dense round.
+modulo a nontrivial subgroup, find it by one exact scan of f over Z_q^n: each
+f(x) is the value block's state relabelled by mult(x, .), states are compared
+by exact equality, and the scan accepts only when their classes are the
+cosets of a subgroup and values on distinct cosets are orthogonal.  An oracle
+off that promise keeps its hidden subgroup unknown and runs the dense round,
+which stays the reference every reduced path is checked against.
 
 The Fourier-sampled state (QFT, f, QFT from |0>) depends only on the oracle
 and the amplitude backend, so the dense round computes it once per oracle and
@@ -67,8 +72,10 @@ from .state import (
     RegisterLayout,
     SparseState,
     Step,
+    _check_support,
     amplitude_amplify,
     apply_classical_map,
+    inner_product_unscaled,
     make_backend,
     measure_registers,
     prepare_zero,
@@ -167,8 +174,9 @@ class HidingOracle:
     digit registers additively (self-inverse on zeroed targets for dimension
     2).  State-valued oracles supply an x-independent preparation of the value
     block plus an x-controlled bijection of it.  An oracle built with `hidden`
-    is known to hide that subgroup, so reduced rounds can run on it even when
-    it is state-valued.
+    is known to hide that subgroup and is not checked; a state-valued oracle
+    built without it finds it by an exact scan when it keeps the promise
+    (`hidden_known`), so reduced rounds run on it either way.
     """
 
     def __init__(
@@ -197,6 +205,7 @@ class HidingOracle:
         self.prep = prep
         self._table = None
         self._hidden = hidden
+        self._scanned = False
         self._perp_sorted = None
         self._sampled: dict = {}
         self._pass_tally = None
@@ -244,18 +253,82 @@ class HidingOracle:
     @property
     def hidden_known(self) -> bool:
         """Whether hidden_subgroup() is available without simulating a query:
-        supplied at construction, or readable from a classical label table."""
+        supplied at construction, readable from a classical label table, or
+        found by one exact scan of a state-valued oracle that keeps the
+        hiding promise.  The scan runs on first use and its outcome is kept."""
+        if self._hidden is None and not self.is_classical and not self._scanned:
+            self._scanned = True
+            self._hidden = self._scan_states()
         return self._hidden is not None or self.is_classical
 
     def hidden_subgroup(self) -> SubgroupRep:
-        """The subgroup this oracle hides: the one it was built with, or else
-        the one read off the fiber of f over f(0)."""
+        """The subgroup this oracle hides: the one it was built with, the one
+        read off the fiber of f over f(0), or the one its exact scan found."""
+        if not self.hidden_known:
+            raise ValueError("state-valued oracle breaks the hiding promise")
         if self._hidden is None:
             tab = self.table()
             f0 = tab[(0,) * self.n]
             gens = [x for x, v in tab.items() if v == f0]
             self._hidden = subgroup_from_generators(gens, self.m, self.k, self.n)
         return self._hidden
+
+    def _scan_states(self) -> SubgroupRep | None:
+        """The hidden subgroup of a state-valued oracle, from one exact scan
+        of f over Z_q^n; None when f breaks the promise.
+
+        f(x) is the value block's state relabelled by mult(x, .): amplitudes
+        are copied, never computed, so states compare by exact equality on
+        either backend (equal up to a phase is not enough: a phase varying
+        with x moves the sampled distribution).  The promise holds when the x
+        with f(x) = f(0) form a subgroup H, f is constant on the cosets of H
+        and distinct on distinct cosets, and values on distinct cosets are
+        orthogonal: disjoint supports, or an exact zero overlap where they
+        meet.  The scan holds q^n * |supp f(0)| labels, as many as the dense
+        round's sampled state, and obeys the same support limit."""
+        regs = self.value_registers
+        if self.prep is None:
+            backend, scale = None, 1
+            block = {(0,) * len(regs): 1}
+        elif self.prep.registers != tuple(r.name for r in regs):
+            return None  # the scan reads f(0) as the prepared value block
+        else:
+            psi = self.prep.state
+            backend, scale, block = psi.backend, psi.scale, psi.amps
+        q, n = self.modulus, self.n
+        _check_support(q**n * len(block))
+        value_of: dict[tuple[int, ...], frozenset] = {}
+        for x in _cartesian(range(q), repeat=n):
+            fx = {tuple(self.mult(x, v)): a for v, a in block.items()}
+            if len(fx) != len(block):
+                return None  # mult(x, .) collides on the value block
+            value_of[x] = frozenset(fx.items())
+        classes = list(set(value_of.values()))
+        zero = value_of[(0,) * n]
+        fiber = [x for x, fx in value_of.items() if fx == zero]
+        # constant on the cosets of the subgroup the fiber generates makes the
+        # fiber that subgroup; as many classes as cosets makes them the cosets
+        hidden = subgroup_from_generators(fiber, self.m, self.k, n)
+        if any(
+            fx != value_of[coset_representative(hidden, x)] for x, fx in value_of.items()
+        ):
+            return None
+        if len(classes) * len(fiber) != q**n:
+            return None
+        owners: dict = {}
+        for c, fx in enumerate(classes):
+            for lbl, _ in fx:
+                owners.setdefault(lbl, []).append(c)
+        meeting = {(a, b) for cs in owners.values() for a in cs for b in cs if a < b}
+        layout = RegisterLayout(regs)
+
+        def state(c):
+            return SparseState(layout, backend, scale, dict(classes[c]))
+
+        for a, b in meeting:
+            if not backend.is_zero(inner_product_unscaled(state(a), state(b)), scale**2):
+                return None
+        return hidden
 
     def perp_elements(self) -> list[tuple[int, ...]]:
         if self.k != 1:
@@ -603,7 +676,8 @@ def hsp_round(
     use_reduced = method == "reduced" or (method == "auto" and oracle.hidden_known)
     if use_reduced and not oracle.hidden_known:
         raise ValueError(
-            "reduced rounds need a classical label oracle or a known hidden subgroup"
+            "reduced rounds need the hidden subgroup, and this state-valued "
+            "oracle breaks the hiding promise"
         )
     runner = _reduced_round if use_reduced else _dense_round
     return runner(oracle, probe, js, mode, rng, backend, stats, capture)

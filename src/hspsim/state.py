@@ -83,9 +83,7 @@ class ExactBackend:
         produced by the transforms here always sum to a rational, and a
         violation means the caller is measuring something the exact sampler
         cannot represent."""
-        total = self.zero
-        for a in amps:
-            total = total + a.norm2()
+        total = self.field.conj_dot((a, a) for a in amps)
         if not total.is_rational():
             raise SimulationError(
                 "total squared amplitude is irrational; cannot sample exactly"
@@ -516,6 +514,9 @@ def factor_split(state: SparseState, registers) -> tuple[SparseState, SparseStat
 
 def inner_product_unscaled(a: SparseState, b: SparseState):
     """sum conj(a_amp) * b_amp over the common support (scales not divided out)."""
+    if a.backend.is_exact:
+        common = ((a.amps.get(lbl), bv) for lbl, bv in b.amps.items())
+        return a.backend.field.conj_dot((av, bv) for av, bv in common if av is not None)
     out = None
     for lbl, bv in b.amps.items():
         av = a.amps.get(lbl)

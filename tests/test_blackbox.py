@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hspsim import blackbox
+from hspsim import hsp as hsp_module
 from hspsim import state as state_module
 from hspsim.blackbox import (
     BadOrder,
@@ -25,7 +26,7 @@ from hspsim.blackbox import (
     _swap_oracle,
 )
 from hspsim.groups import TableBackend, UnitsBackend
-from hspsim.hsp import QueryStats
+from hspsim.hsp import QueryStats, solve_hsp
 from hspsim.state import (
     Register,
     RegisterLayout,
@@ -476,6 +477,65 @@ def test_group_superposition_s3_uniform():
     assert {lbl[0] for lbl in sup.state.amps} == elements
     vals = set(sup.state.amps.values())
     assert len(vals) == 1
+
+
+# ---------------------------------------------------------------------------
+# State-valued presentation oracles: the exact scan against the dense round
+
+
+def _zoo_presentation_solves(amp_backend):
+    """Series, order, derived series and decomposition modulo the derived
+    subgroup on every zoo group, deterministic, with the abelian presentations'
+    solves and every dense round recorded.  Returns (the state-valued
+    word-coset oracles solved, with their contexts; the oracle names the dense
+    round ran on)."""
+    solved, dense_names = [], []
+    real_solve, real_dense = blackbox.solve_hsp, hsp_module._dense_round
+
+    def recording_solve(oracle, **kwargs):
+        solved.append((oracle, kwargs["backend"]))
+        return real_solve(oracle, **kwargs)
+
+    def recording_dense(oracle, *args):
+        dense_names.append(oracle.name)
+        return real_dense(oracle, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(blackbox, "solve_hsp", recording_solve)
+        mp.setattr(hsp_module, "_dense_round", recording_dense)
+        for name in sorted(ZOO):
+            make, expected = ZOO[name]
+            backend, m = make()
+            ctx = BlackboxContext(backend, m, amp_backend=amp_backend)
+            series = build_polycyclic_series(backend, m, ctx)
+            assert group_order(series, ctx) == expected, name
+            chain = derived_series(backend, m, ctx)
+            abelian_factor_decomposition(backend, chain[1], m, ctx)
+    return [(o, q) for o, q in solved if o.name == "word-coset"], dense_names
+
+
+@pytest.mark.parametrize("amp_backend", ["exact", "float"])
+def test_zoo_presentations_run_no_dense_round(amp_backend):
+    oracles, dense_names = _zoo_presentation_solves(amp_backend)
+    assert oracles
+    assert dense_names == []
+
+
+@pytest.mark.parametrize("amp_backend", ["exact", "float"])
+def test_zoo_presentation_oracles_match_the_dense_solve(amp_backend):
+    # every word-coset oracle the zoo reaches, and at k >= 2 the section
+    # compositions its solve builds, gives the dense solve's HNF, trace and
+    # query counts
+    oracles, _ = _zoo_presentation_solves(amp_backend)
+    assert any(o.k >= 2 for o, _ in oracles)
+    for oracle, q in oracles:
+        got, want = (
+            solve_hsp(oracle, mode="deterministic", backend=q, method=method)
+            for method in ("auto", "dense")
+        )
+        assert got.subgroup.hnf == want.subgroup.hnf
+        assert [t.to_dict() for t in got.trace] == [t.to_dict() for t in want.trace]
+        assert got.stats.to_dict() == want.stats.to_dict()
 
 
 # ---------------------------------------------------------------------------

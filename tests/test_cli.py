@@ -228,8 +228,14 @@ def test_malformed_modulus_exits_two(tmp_path, capsys, argv):
         {"kind": "units", "modulus": 15, "m": 0, "generators": [2, 14]},
         {"kind": "table", "size": 2, "m": 2, "table": [[0, 1], [1, 0]], "generators": [5]},
         {"kind": "table", "size": 2, "m": 2, "table": [[0, 1], [1, 7]], "generators": [1]},
+        {"kind": "table", "m": 2, "table": [["a"]], "generators": []},
+        {"kind": "table", "m": 2, "table": [[0.5]], "generators": []},
+        {"kind": "table", "m": 2, "table": [[0, 1], [1, False]], "generators": [1]},
+        {"kind": "table", "m": 2, "table": [[[0]]], "generators": []},
+        {"kind": "table", "m": 2, "table": [[0, 1], [1, 0]], "generators": [[1]]},
     ],
-    ids=["m-zero", "table-generator-outside", "table-entry-outside"],
+    ids=["m-zero", "table-generator-outside", "table-entry-outside", "table-entry-str",
+         "table-entry-float", "table-entry-bool", "table-entry-list", "table-generator-list"],
 )
 def test_malformed_group_exits_two(tmp_path, capsys, group):
     grp = write(tmp_path, "group.json", group)

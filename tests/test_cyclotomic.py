@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hspsim.cyclotomic import CycloField, cyclotomic_normalize, cyclotomic_polynomial
 
@@ -147,3 +148,29 @@ def test_scalar_multiplication_with_fractions():
     fld = CycloField(4)
     half = fld.root(1) * Fraction(1, 2)
     assert half + half == fld.root(1)
+
+
+@st.composite
+def element_pairs(draw):
+    """A root order M and a list of (a, b) pairs of elements of Q(w_M), given
+    by raw coefficient vectors over powers of w (zeros and empty lists
+    included)."""
+    order = draw(st.sampled_from([4, 12, 20, 24]))
+    fld = CycloField(order)
+    raw = st.lists(st.integers(-50, 50), max_size=order)
+    pairs = draw(st.lists(st.tuples(raw, raw), max_size=6))
+    return fld, [(fld.from_raw(a), fld.from_raw(b)) for a, b in pairs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(element_pairs())
+def test_conj_dot_equals_the_naive_fold(case):
+    fld, pairs = case
+    naive = fld.zero
+    for a, b in pairs:
+        naive = naive + a.conjugate() * b
+    got = fld.conj_dot(pairs)
+    assert got.coeffs == naive.coeffs
+    assert fld.conj_dot((a, a) for a, _ in pairs).coeffs == sum(
+        (a.norm2() for a, _ in pairs), fld.zero
+    ).coeffs

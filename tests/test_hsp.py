@@ -36,6 +36,7 @@ from hspsim.state import (
     Register,
     RegisterLayout,
     SparseState,
+    StatePrep,
     amplitude_amplify,
     make_backend,
     prepare_zero,
@@ -126,6 +127,25 @@ def test_known_hidden_subgroup_must_match_the_oracle_shape(hidden):
         _state_oracle(4, 1, 2, hidden)
 
 
+def _swap_oracle_of(amps1, amps2, backend_kind="exact"):
+    """The swap test's oracle, built without its hidden subgroup, for two
+    states on one qubit-sized digit register given as {value: amplitude}."""
+    backend = make_backend(backend_kind, _root_order(2))
+    layout = RegisterLayout([Register("w", "digit", 2)])
+
+    def state(amps):
+        return SparseState(layout, backend, len(amps),
+                           {(v,): backend.one * a for v, a in amps.items()})
+
+    return _swap_oracle(state(amps1), state(amps2))
+
+
+def _overlapping_swap_oracle():
+    # |0> against |0> + |1>: they overlap and are not equal, which breaks the
+    # promise that f(0) and f(1) are equal or orthogonal
+    return _swap_oracle_of({0: 1}, {0: 1, 1: 1})
+
+
 def test_known_hidden_subgroup_enables_reduced_rounds():
     rep = subgroup_from_generators([(2, 0)], 4, 1, 2)
     oracle = _state_oracle(4, 1, 2, rep)
@@ -134,8 +154,63 @@ def test_known_hidden_subgroup_enables_reduced_rounds():
     # probe outside it does not
     assert hsp_round(oracle, (2, 0), mode="deterministic", method="reduced")[0] == []
     assert hsp_round(oracle, (1, 0), mode="deterministic", method="reduced")[0]
+    # without a declared subgroup the exact scan finds it: f is constant, so
+    # the oracle hides the whole group and every probe lies inside it
+    scanned = _state_oracle(4, 1, 2)
+    assert scanned.hidden_known
+    assert scanned.hidden_subgroup().hnf == full_subgroup(4, 1, 2).hnf
+    assert hsp_round(scanned, (1, 0), mode="deterministic", method="reduced")[0] == []
+    # an oracle off the promise has no hidden subgroup to reduce with
+    off_promise = _overlapping_swap_oracle()
+    assert not off_promise.hidden_known
     with pytest.raises(ValueError):
-        hsp_round(_state_oracle(4, 1, 2), (1, 0), mode="deterministic", method="reduced")
+        hsp_round(off_promise, (1,), mode="deterministic", method="reduced")
+    with pytest.raises(ValueError):
+        off_promise.hidden_subgroup()
+
+
+def _valued_oracle(values, dim):
+    """A state-valued oracle over Z_m, m = len(values), without a preparation:
+    f(x) is the basis state |values[x]> of one digit register."""
+    def shift(sign):
+        return lambda x, v: ((v[0] + sign * values[x[0]]) % dim,)
+
+    return HidingOracle(len(values), 1, 1, [Register("v0", "digit", dim)],
+                        mult=shift(1), mult_inv=shift(-1))
+
+
+@pytest.mark.parametrize("values,hnf", [
+    ([0, 1, 2, 0, 1, 2], ((3,),)),
+    ([0, 0, 0, 0], ((1,),)),
+    ([0, 1, 2, 3], ((4,),)),
+    ([0, 1, 1, 0, 1, 1], None),  # two cosets of {0, 3} share a value
+    ([0, 1, 2, 0, 2, 2], None),  # not constant on the cosets of {0, 3}
+    ([0, 0, 1, 1], None),  # the fiber over f(0) is no subgroup
+], ids=["order-3", "full", "trivial", "shared-value", "split-coset", "no-subgroup"])
+def test_scan_finds_the_hidden_subgroup_exactly_on_the_promise(values, hnf):
+    oracle = _valued_oracle(values, 4)
+    assert oracle.hidden_known == (hnf is not None)
+    if hnf is not None:
+        assert oracle.hidden_subgroup().hnf.data == hnf
+        res = solve_hsp_zmn(oracle, mode="deterministic")
+        assert res.subgroup.hnf.data == hnf
+
+
+@pytest.mark.parametrize("backend_kind", ["exact", "float"])
+def test_scan_reads_overlapping_values_by_their_exact_overlap(backend_kind):
+    # |0> + |1> against |0> - |1>: the swapped pair states share their whole
+    # support and are orthogonal, so the oracle hides the trivial subgroup
+    oracle = _swap_oracle_of({0: 1, 1: 1}, {0: 1, 1: -1}, backend_kind)
+    assert oracle.hidden_subgroup().hnf.data == ((2,),)
+    # a mult that collides on the value block keeps the subgroup unknown, even
+    # where the collided value is orthogonal to f(0)
+    backend = make_backend(backend_kind, _root_order(2))
+    layout = RegisterLayout([Register("v0", "digit", 4)])
+    block = SparseState(layout, backend, 2, {(0,): backend.one, (1,): backend.one})
+    collide = HidingOracle(2, 1, 1, layout.registers, prep=StatePrep(("v0",), block),
+                           mult=lambda x, v: (2,) if x[0] else v,
+                           mult_inv=lambda x, v: v)
+    assert not collide.hidden_known
 
 
 # ---------------------------------------------------------------------------
@@ -521,13 +596,16 @@ def test_auto_runs_the_reduced_round_exactly_when_the_hidden_subgroup_is_known(
             for oracle in (declared, table_read):
                 res = solve_hsp_zmn(oracle, mode="seeded", seed=1)
                 assert res.subgroup.hnf.data == rows
+    # state-valued swap oracles built without their hidden subgroup, on the
+    # promise: the exact scan finds the subgroup
+    for amps2, hnf in [({1: 1}, ((2,),)), ({0: 1}, ((1,),)), ({0: -1}, ((1,),))]:
+        oracle = _swap_oracle_of({0: 1}, amps2)
+        res = solve_hsp_zmn(oracle, mode="deterministic", backend=make_backend("exact", 4))
+        assert res.subgroup.hnf.data == hnf
     assert dense_calls == []
-    # a state-valued oracle built without its hidden subgroup
-    backend = make_backend("exact", _root_order(2))
-    layout = RegisterLayout([Register("w", "digit", 2)])
-    basis = [SparseState(layout, backend, 1, {(v,): backend.one}) for v in (0, 1)]
-    res = solve_hsp_zmn(_swap_oracle(*basis), mode="deterministic", backend=backend)
-    assert res.subgroup.hnf.data == ((2,),)
+    # off the promise the dense round runs
+    solve_hsp_zmn(_overlapping_swap_oracle(), mode="deterministic",
+                  backend=make_backend("exact", 4))
     assert dense_calls and set(dense_calls) == {"cond-swap"}
 
 
