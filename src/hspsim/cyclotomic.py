@@ -8,6 +8,7 @@ operation is exact.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import cos, pi, sin
@@ -118,12 +119,14 @@ class CycloField:
         """sum conj(a) * b over (a, b) pairs of elements of this field, reduced
         once: conj(w^i) * w^j = w^(j-i), so every product is accumulated as raw
         coefficients over powers of w and the total goes through one from_raw.
-        Canonical residues are unique, so the result equals the term-by-term
-        fold exactly."""
+        A pair repeated k times is accumulated once, with b scaled by k; pairs
+        are grouped by their coefficient tuples, which hash in C.  Canonical
+        residues are unique, so the result equals the term-by-term fold
+        exactly."""
         raw = [0] * self.order
-        for a, b in pairs:
-            nzb = [(j, c) for j, c in enumerate(b.coeffs) if c]
-            for i, ai in enumerate(a.coeffs):
+        for (ac, bc), k in Counter((a.coeffs, b.coeffs) for a, b in pairs).items():
+            nzb = [(j, k * c) for j, c in enumerate(bc) if c]
+            for i, ai in enumerate(ac):
                 if ai:
                     # |j - i| < degree <= order: a negative index wraps to
                     # j - i + order, the same power of w

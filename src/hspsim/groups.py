@@ -25,6 +25,14 @@ class NotAGroupError(GroupError):
     """A multiplication table that is not the table of a group."""
 
 
+def _integer(value, what: str) -> int:
+    """The value itself if it is an int.  Group files are JSON, where 2.0,
+    true and "2" are not integers: they are rejected, not truncated."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 class GroupBackend:
     """Shared surface: code length l_bits, generator codes, and mul()."""
 
@@ -54,12 +62,12 @@ class PermutationBackend(GroupBackend):
 
     def __init__(self, degree: int, generators):
         super().__init__()
-        if degree < 1:
+        if _integer(degree, "degree") < 1:
             raise ValueError("degree must be positive")
         self.degree = degree
         span = degree**degree
         self.l_bits = max(1, (span - 1).bit_length())
-        self.generators = [self.encode(tuple(g)) for g in generators]
+        self.generators = [self.encode_element(g) for g in generators]
 
     def encode(self, perm) -> int:
         if sorted(perm) != list(range(self.degree)):
@@ -85,7 +93,7 @@ class PermutationBackend(GroupBackend):
         return self.encode(tuple(range(self.degree)))
 
     def encode_element(self, obj) -> int:
-        return self.encode(tuple(obj))
+        return self.encode(tuple(_integer(v, "permutation image") for v in obj))
 
 
 class TableBackend(GroupBackend):
@@ -101,10 +109,7 @@ class TableBackend(GroupBackend):
         if any(type(v) is not int or not 0 <= v < self.size for v in entries):
             raise ValueError(f"table entries must be integers in range({self.size})")
         self.l_bits = max(1, (self.size - 1).bit_length())
-        self.generators = [int(g) for g in generators]
-        for g in self.generators:
-            if not 0 <= g < self.size:
-                raise ValueError(f"generator {g} is not a table index in range({self.size})")
+        self.generators = [self.encode_element(g) for g in generators]
 
     def mul(self, a: int, b: int) -> int:
         self.mul_calls += 1
@@ -117,9 +122,9 @@ class TableBackend(GroupBackend):
         raise GroupError("table has no identity element")
 
     def encode_element(self, obj) -> int:
-        code = int(obj)
+        code = _integer(obj, "table index")
         if not 0 <= code < self.size:
-            raise ValueError(f"table index out of range: {code}")
+            raise ValueError(f"table index {code} is not in range({self.size})")
         return code
 
 
@@ -128,14 +133,11 @@ class UnitsBackend(GroupBackend):
 
     def __init__(self, modulus: int, generators):
         super().__init__()
-        if modulus < 2:
+        if _integer(modulus, "modulus") < 2:
             raise ValueError("modulus must be at least 2")
         self.modulus = modulus
         self.l_bits = max(1, (modulus - 1).bit_length())
-        self.generators = [int(g) % modulus for g in generators]
-        for g in self.generators:
-            if gcd(g, modulus) != 1:
-                raise ValueError(f"{g} is not a unit modulo {modulus}")
+        self.generators = [self.encode_element(g) for g in generators]
 
     def mul(self, a: int, b: int) -> int:
         self.mul_calls += 1
@@ -145,7 +147,7 @@ class UnitsBackend(GroupBackend):
         return 1 % self.modulus
 
     def encode_element(self, obj) -> int:
-        code = int(obj) % self.modulus
+        code = _integer(obj, "residue") % self.modulus
         if gcd(code, self.modulus) != 1:
             raise ValueError(f"{obj} is not a unit modulo {self.modulus}")
         return code
@@ -180,18 +182,18 @@ def load_group(obj) -> tuple[GroupBackend, int]:
     if isinstance(obj, str):
         obj = json.loads(obj)
     kind = obj.get("kind")
-    m = int(obj.get("m", 2))
+    m = _integer(obj.get("m", 2), "m")
     if m < 2:
         raise ValueError(f"working modulus m must be at least 2, got {m}")
     if kind == "permutation":
-        backend = PermutationBackend(int(obj["degree"]), obj["generators"])
+        backend = PermutationBackend(obj["degree"], obj["generators"])
     elif kind == "table":
         backend = TableBackend(obj["table"], obj.get("generators", []))
-        if len(backend.table) != int(obj.get("size", backend.size)):
+        if backend.size != _integer(obj.get("size", backend.size), "size"):
             raise ValueError("table size field disagrees with data")
         check_group_table(backend.table)
     elif kind == "units":
-        backend = UnitsBackend(int(obj["modulus"]), obj["generators"])
+        backend = UnitsBackend(obj["modulus"], obj["generators"])
     else:
         raise ValueError(f"unknown group kind {kind!r}")
     return backend, m

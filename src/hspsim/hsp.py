@@ -46,6 +46,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass, field, fields
 from itertools import product as _cartesian
+from operator import mul
 
 from .lattice import (
     SubgroupRep,
@@ -53,6 +54,7 @@ from .lattice import (
     coset_representative,
     enumerate_elements,
     equal_or_witness,
+    full_subgroup,
     join,
     lift_by_m,
     perp_subgroup,
@@ -509,7 +511,7 @@ def flag_circuit(oracle: HidingOracle, probe, j: int) -> Circuit:
     m = oracle.m
 
     def write_flag(lbl):
-        pairing = sum(p * lbl[i] for i, p in enumerate(probe)) % m
+        pairing = sum(map(mul, probe, lbl)) % m  # lbl starts with the x registers
         f = round_flag(m, j, pairing, lbl[-2])
         return lbl[:-1] + (lbl[-1] ^ f,)
 
@@ -578,7 +580,7 @@ def _reduced_round(oracle, probe, js, mode, rng, backend, stats, capture):
     m = oracle.m
     elems = oracle.perp_elements()
     hn = len(elems)
-    avals = [sum(p * y[i] for i, p in enumerate(probe)) % m for y in elems]
+    avals = [sum(map(mul, probe, y)) % m for y in elems]
     na = [0] * m
     for a in avals:
         na[a] += 1
@@ -588,6 +590,8 @@ def _reduced_round(oracle, probe, js, mode, rng, backend, stats, capture):
     # each index stands for one pass of the dense round's circuit
     oracle.record_passes(stats, len(js))
     members: dict[int, list[int]] | None = None
+    if capture is not None:
+        one, iunit = backend.one, backend.imag_unit()
     trace = RoundTrace(probe=tuple(probe))
     found = []
     for j in js:
@@ -606,7 +610,6 @@ def _reduced_round(oracle, probe, js, mode, rng, backend, stats, capture):
             raise AssertionError("reduced-round normalization check failed")
         support_a = [a for a in classes if norms[flags[a][0]] or norms[flags[a][1]]]
         if capture is not None:
-            one, iunit = backend.one, backend.imag_unit()
             values = [one * x + iunit * y for x, y in amps]
             capture(
                 "round_reduced",
@@ -720,9 +723,10 @@ def solve_hsp_zmn(
     trace: list[RoundTrace] = []
 
     perp_known = perp_subgroup(known_hidden) if known_hidden is not None else None
-    low = trivial_subgroup(m, 1, n)  # grows up to the hidden subgroup
-    comp = trivial_subgroup(m, 1, n)  # grows inside the complement
-    target = perp_subgroup(comp)  # recomputed only when comp grows
+    # low grows up to the hidden subgroup, comp inside the complement; both
+    # start trivial, and target = perp(comp) is recomputed only when comp grows
+    low = comp = trivial_subgroup(m, 1, n)
+    target = full_subgroup(m, 1, n)
     while True:
         witness = equal_or_witness(low, target)
         if witness is None:

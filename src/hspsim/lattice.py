@@ -71,7 +71,7 @@ class IntMatrix:
         return tuple(row[j] for row in self.data)
 
     def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.cols)]
+        return list(zip(*self.data))
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix.from_rows(

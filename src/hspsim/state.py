@@ -15,6 +15,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod, sqrt
+from operator import attrgetter
 
 from .cyclotomic import CycloField, Cyclotomic
 
@@ -748,13 +749,29 @@ class ReflectStep(Step):
         else:
             coef = (phase - 1.0) * z
         npsi = psi.scale
+        pamps = psi.amps
+        # amp * npsi + coef * p depends on the label only through (amp, p),
+        # and the states here repeat few values over many labels: fold each
+        # distinct pair once.  Exact amplitudes key on their canonical
+        # coefficients; float ones on the objects, since equal complex values
+        # can differ in the sign of a zero.
+        key = attrgetter("coeffs") if backend.is_exact else id
+        memo = {}
         new = {}
         for lbl, amp in state.amps.items():
-            new[lbl] = amp * npsi
-        for lbl, p in psi.amps.items():
-            add = coef * p
-            cur = new.get(lbl)
-            new[lbl] = add if cur is None else cur + add
+            p = pamps.get(lbl)
+            pair = (key(amp), None if p is None else key(p))
+            val = memo.get(pair)
+            if val is None:
+                val = memo[pair] = amp * npsi if p is None else amp * npsi + coef * p
+            new[lbl] = val
+        for lbl, p in pamps.items():
+            if lbl not in new:
+                pair = (None, key(p))
+                val = memo.get(pair)
+                if val is None:
+                    val = memo[pair] = coef * p
+                new[lbl] = val
         scale = state.scale * npsi * npsi
         return SparseState(state.layout, backend, scale, _pruned(backend, new, scale))
 

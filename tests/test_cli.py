@@ -233,9 +233,18 @@ def test_malformed_modulus_exits_two(tmp_path, capsys, argv):
         {"kind": "table", "m": 2, "table": [[0, 1], [1, False]], "generators": [1]},
         {"kind": "table", "m": 2, "table": [[[0]]], "generators": []},
         {"kind": "table", "m": 2, "table": [[0, 1], [1, 0]], "generators": [[1]]},
+        {"kind": "table", "table": [[0, 1], [1, 0]], "generators": [1.9], "m": 2},
+        {"kind": "units", "modulus": 15, "generators": [2.5], "m": 4},
+        {"kind": "permutation", "degree": 3, "generators": [[1, 0, 2.0]], "m": 2},
+        {"kind": "units", "modulus": 15.0, "generators": [2], "m": 2},
+        {"kind": "permutation", "degree": "3", "generators": [[1, 0, 2]], "m": 2},
+        {"kind": "units", "modulus": 15, "generators": [2], "m": 2.0},
+        {"kind": "units", "modulus": 15, "generators": [True], "m": 2},
     ],
     ids=["m-zero", "table-generator-outside", "table-entry-outside", "table-entry-str",
-         "table-entry-float", "table-entry-bool", "table-entry-list", "table-generator-list"],
+         "table-entry-float", "table-entry-bool", "table-entry-list", "table-generator-list",
+         "table-generator-float", "units-generator-float", "permutation-image-float",
+         "units-modulus-float", "permutation-degree-str", "m-float", "units-generator-bool"],
 )
 def test_malformed_group_exits_two(tmp_path, capsys, group):
     grp = write(tmp_path, "group.json", group)

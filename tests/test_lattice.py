@@ -319,6 +319,14 @@ def test_perp_trivial_and_full():
     assert perp_subgroup(f).hnf == t.hnf
 
 
+@pytest.mark.parametrize("m", range(2, 13))
+def test_perp_of_trivial_is_the_full_group(m):
+    # solve_hsp_zmn starts its target at full_subgroup instead of computing
+    # the perp of its trivial start
+    for n in range(1, 5):
+        assert perp_subgroup(trivial_subgroup(m, 1, n)) == full_subgroup(m, 1, n)
+
+
 def test_perp_example_mod6():
     a = subgroup_from_generators([(2, 3)], 6, 1, 2)
     p = perp_subgroup(a)

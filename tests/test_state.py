@@ -1,7 +1,11 @@
+import itertools
 import random
+from operator import attrgetter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from hspsim.state import (
     Circuit,
@@ -25,6 +29,7 @@ from hspsim.state import (
     conditional_phase_i,
     drop_register,
     factor_split,
+    inner_product_unscaled,
     make_backend,
     measure_register,
     measure_registers,
@@ -504,3 +509,105 @@ def test_measure_collapse_clears_fractional_scale():
     assert out == 0
     assert isinstance(post.scale, int)
     post.check_normalization()
+
+
+# ---------------------------------------------------------------------------
+# The reflection and the exact sums fold each distinct amplitude pair once;
+# these properties compare them with the per-label fold on states that repeat
+# a few values over many labels.
+
+
+@hst.composite
+def repeated_amplitude_states(draw):
+    """An exact backend of root order 4, 12, 20 or 24 and two states on one
+    4x4 layout whose amplitudes come from a pool of at most three values of
+    the form c * w^e, so that every mass is rational."""
+    order = draw(hst.sampled_from([4, 12, 20, 24]))
+    backend = make_backend("exact", order)
+    pool = [
+        backend.root(e) * c
+        for c, e in draw(
+            hst.lists(
+                hst.tuples(hst.integers(-3, 3).filter(bool), hst.integers(0, order - 1)),
+                min_size=1,
+                max_size=3,
+            )
+        )
+    ]
+    layout = digit_layout(4, "a", "b")
+    labels = list(itertools.product(range(4), repeat=2))
+
+    def draw_state():
+        support = draw(hst.lists(hst.sampled_from(labels), min_size=1, unique=True))
+        amps = {lbl: draw(hst.sampled_from(pool)) for lbl in support}
+        return SparseState(layout, backend, naive_mass(backend, amps.values()), amps)
+
+    return backend, draw_state(), draw_state(), draw(hst.integers(1, 3))
+
+
+def naive_conj_dot(backend, pairs):
+    total = backend.zero
+    for a, b in pairs:
+        total = total + a.conjugate() * b
+    return total
+
+
+def naive_mass(backend, amps):
+    return naive_conj_dot(backend, ((a, a) for a in amps)).rational_value()
+
+
+def check_reflection(psi, state, turns, z, view):
+    """ReflectStep.apply against its per-label fold given the overlap z,
+    comparing amplitudes through view."""
+    backend = state.backend
+    coef = (backend.root(backend.root_order // 4 * turns) - backend.one) * z
+    new = {lbl: a * psi.scale for lbl, a in state.amps.items()}
+    for lbl, p in psi.amps.items():
+        new[lbl] = new[lbl] + coef * p if lbl in new else coef * p
+    scale = state.scale * psi.scale**2
+    expected = {lbl: a for lbl, a in new.items() if not backend.is_zero(a, scale)}
+    step = ReflectStep(Circuit(()), turns, psi=psi)
+    if not expected:
+        with pytest.raises(SimulationError):
+            step.apply(state)
+        return
+    out = step.apply(state)
+    assert out.scale == scale
+    assert [(lbl, view(a)) for lbl, a in out.amps.items()] == [
+        (lbl, view(a)) for lbl, a in expected.items()
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(repeated_amplitude_states())
+def test_grouped_sums_equal_the_per_label_fold(case):
+    backend, psi, state, _ = case
+    assert state.mass() == state.scale
+    assert backend.mass(list(state.amps.values()) + list(psi.amps.values())) == (
+        state.scale + psi.scale
+    )
+    common = [(psi.amps[lbl], a) for lbl, a in state.amps.items() if lbl in psi.amps]
+    assert inner_product_unscaled(psi, state).coeffs == naive_conj_dot(backend, common).coeffs
+
+
+@settings(max_examples=80, deadline=None)
+@given(repeated_amplitude_states())
+def test_memoized_reflection_equals_the_per_label_fold(case):
+    backend, psi, state, turns = case
+    common = ((psi.amps[lbl], a) for lbl, a in state.amps.items() if lbl in psi.amps)
+    check_reflection(psi, state, turns, naive_conj_dot(backend, common), attrgetter("coeffs"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(repeated_amplitude_states())
+def test_float_reflection_is_bit_identical_to_the_per_label_fold(case):
+    backend, psi, state, turns = case
+    fl = make_backend("float", backend.root_order)
+    shared = {}  # equal exact values become one float object, as a copy would
+
+    def to_float(s):
+        amps = {l: shared.setdefault(a.coeffs, a.to_complex()) for l, a in s.amps.items()}
+        return SparseState(s.layout, fl, s.scale, amps)
+
+    fpsi, fstate = to_float(psi), to_float(state)
+    check_reflection(fpsi, fstate, turns, inner_product_unscaled(fpsi, fstate), repr)
