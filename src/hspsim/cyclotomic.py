@@ -116,15 +116,21 @@ class CycloField:
         return Cyclotomic(self, tuple(out))
 
     def conj_dot(self, pairs) -> "Cyclotomic":
-        """sum conj(a) * b over (a, b) pairs of elements of this field, reduced
+        """sum conj(a) * b over (a, b) pairs of elements of this field.  Pairs
+        are grouped by their coefficient tuples, which hash in C, and each
+        distinct pair is accumulated once (conj_dot_counted)."""
+        return self.conj_dot_counted(
+            Counter((a.coeffs, b.coeffs) for a, b in pairs).items()
+        )
+
+    def conj_dot_counted(self, counted) -> "Cyclotomic":
+        """sum k * conj(a) * b over ((a.coeffs, b.coeffs), k) entries, reduced
         once: conj(w^i) * w^j = w^(j-i), so every product is accumulated as raw
-        coefficients over powers of w and the total goes through one from_raw.
-        A pair repeated k times is accumulated once, with b scaled by k; pairs
-        are grouped by their coefficient tuples, which hash in C.  Canonical
-        residues are unique, so the result equals the term-by-term fold
-        exactly."""
+        coefficients over powers of w, with b scaled by k, and the total goes
+        through one from_raw.  Canonical residues are unique, so the result
+        equals the term-by-term fold exactly."""
         raw = [0] * self.order
-        for (ac, bc), k in Counter((a.coeffs, b.coeffs) for a, b in pairs).items():
+        for (ac, bc), k in counted:
             nzb = [(j, k * c) for j, c in enumerate(bc) if c]
             for i, ai in enumerate(ac):
                 if ai:

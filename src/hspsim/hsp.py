@@ -247,6 +247,7 @@ class HidingOracle:
             raise ValueError("state-valued oracle has no label table")
         if self._table is None:
             q = self.modulus
+            _check_support(q**self.n)
             self._table = {
                 x: tuple(self.label_fn(x)) for x in _cartesian(range(q), repeat=self.n)
             }

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product as _cartesian
 from math import gcd, prod
 
@@ -399,7 +399,8 @@ class SubgroupRep:
             vec = tuple(q if j == i else 0 for j in range(n))
             if not _in_column_lattice(cols, vec):
                 raise ValueError("lattice must contain m^k * Z^n")
-        if (q**n) % H.det() != 0:
+        # lower triangular, checked above: the determinant is the diagonal's product
+        if (q**n) % prod(H.data[i][i] for i in range(n)) != 0:
             raise ValueError("lattice determinant must divide m^(k*n)")
 
     @property
@@ -469,10 +470,13 @@ def _hnf_basis(basis_cols, extra_cols) -> list[list[int]]:
     return cols[:n]
 
 
+# Reps are frozen, so one shared instance per shape serves every caller.
+@lru_cache(maxsize=64)
 def trivial_subgroup(m: int, k: int, n: int) -> SubgroupRep:
     return SubgroupRep(m, k, n, IntMatrix.diagonal([m**k] * n))
 
 
+@lru_cache(maxsize=64)
 def full_subgroup(m: int, k: int, n: int) -> SubgroupRep:
     return SubgroupRep(m, k, n, IntMatrix.identity(n))
 

@@ -12,6 +12,7 @@ same interface for cross-checking.
 from __future__ import annotations
 
 import cmath
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod, sqrt
@@ -80,11 +81,14 @@ class ExactBackend:
     def mass(self, amps):
         """Total squared magnitude of an amplitude family, as an exact rational.
 
-        Individual squared magnitudes can be irrational; the closed families
-        produced by the transforms here always sum to a rational, and a
-        violation means the caller is measuring something the exact sampler
-        cannot represent."""
-        total = self.field.conj_dot((a, a) for a in amps)
+        Equal amplitudes are counted once by coefficient tuple, and each
+        distinct one enters the field's accumulation once, with its
+        multiplicity.  Individual squared magnitudes can be irrational; the
+        closed families produced by the transforms here always sum to a
+        rational, and a violation means the caller is measuring something the
+        exact sampler cannot represent."""
+        counts = Counter(a.coeffs for a in amps)
+        total = self.field.conj_dot_counted(((c, c), k) for c, k in counts.items())
         if not total.is_rational():
             raise SimulationError(
                 "total squared amplitude is irrational; cannot sample exactly"
@@ -271,31 +275,62 @@ def _pruned(backend, amps: dict, scale) -> dict:
 
 
 def apply_qft(state: SparseState, register: str, inverse: bool = False) -> SparseState:
-    """Fourier transform of one digit register: |x> -> sum_y w^{xy} |y> / sqrt(d)."""
+    """Fourier transform of one digit register: |x> -> sum_y w^{xy} |y> / sqrt(d).
+
+    Output labels come in first-seen order: each fiber (the labels that differ
+    only in this register) gives its d labels y = 0..d-1 where its first input
+    label stood.  On the exact backend each output amplitude
+    sum_x amp_x * w^{+-step*x*y} is accumulated as raw coefficients over powers
+    of w, each input coefficient shifted by its exponent, and canonicalized
+    once; canonical residues are unique, so it equals the per-term fold.  The
+    float backend folds term by term."""
     idx = state.layout.index[register]
     reg = state.layout.registers[idx]
     if reg.kind != "digit":
         raise ValueError("Fourier transform applies to digit registers")
     d = reg.dim
-    M = state.backend.root_order
+    backend = state.backend
+    M = backend.root_order
     if M % d:
         raise ValueError(f"register dimension {d} does not divide the root order {M}")
-    step = M // d
-    roots = [state.backend.root((-step * t) if inverse else (step * t)) for t in range(d)]
-    new: dict = {}
-    zero = state.backend.zero
-    for label, amp in state.amps.items():
-        x = label[idx]
-        pre = label[:idx]
-        post = label[idx + 1 :]
-        for y in range(d):
-            ph = roots[(x * y) % d]
-            nl = pre + (y,) + post
-            cur = new.get(nl)
-            new[nl] = amp * ph if cur is None else cur + amp * ph
-    _check_support(len(new))
+    step = -(M // d) if inverse else M // d
+    if backend.is_exact:
+        fibers: dict = {}
+        nonzero: dict = {}  # coefficient tuple -> its nonzero (power, coefficient)s
+        for label, amp in state.amps.items():
+            c = amp.coeffs
+            nz = nonzero.get(c)
+            if nz is None:
+                nz = nonzero[c] = [(i, v) for i, v in enumerate(c) if v]
+            fibers.setdefault((label[:idx], label[idx + 1 :]), []).append((label[idx], nz))
+        _check_support(len(fibers) * d)
+        # i + offs[t] lies in [-M, M): a negative index wraps to the same power
+        offs = [(step * t) % M - M for t in range(d)]
+        from_raw = backend.field.from_raw
+        new: dict = {}
+        for (pre, post), terms in fibers.items():
+            for y in range(d):
+                raw = [0] * M
+                for x, nz in terms:
+                    off = offs[x * y % d]
+                    for i, v in nz:
+                        raw[i + off] += v
+                new[pre + (y,) + post] = from_raw(raw)
+    else:
+        roots = [backend.root(step * t) for t in range(d)]
+        new = {}
+        for label, amp in state.amps.items():
+            x = label[idx]
+            pre = label[:idx]
+            post = label[idx + 1 :]
+            for y in range(d):
+                ph = roots[(x * y) % d]
+                nl = pre + (y,) + post
+                cur = new.get(nl)
+                new[nl] = amp * ph if cur is None else cur + amp * ph
+        _check_support(len(new))
     scale = state.scale * d
-    return SparseState(state.layout, state.backend, scale, _pruned(state.backend, new, scale))
+    return SparseState(state.layout, backend, scale, _pruned(backend, new, scale))
 
 
 def apply_hadamard(state: SparseState, register: str) -> SparseState:
@@ -329,14 +364,27 @@ def apply_classical_map(state: SparseState, mapping) -> SparseState:
 
 
 def conditional_phase_i(state: SparseState, predicate, turns: int = 1) -> SparseState:
-    """Multiply amplitudes on labels satisfying the predicate by i^turns."""
-    ph = state.backend.root((state.backend.root_order // 4) * (turns % 4))
+    """Multiply amplitudes on labels satisfying the predicate by i^turns.
+
+    The product is computed once per distinct flagged amplitude: exact
+    amplitudes key on their canonical coefficients, float ones on the objects
+    (equal complex values can differ in the sign of a zero)."""
+    backend = state.backend
+    ph = backend.root((backend.root_order // 4) * (turns % 4))
     if turns % 4 == 0:
         return state.copy_with()
-    new = {
-        lbl: (amp * ph if predicate(lbl) else amp) for lbl, amp in state.amps.items()
-    }
-    return SparseState(state.layout, state.backend, state.scale, new)
+    key = attrgetter("coeffs") if backend.is_exact else id
+    memo = {}
+    new = {}
+    for lbl, amp in state.amps.items():
+        if predicate(lbl):
+            k = key(amp)
+            val = memo.get(k)
+            if val is None:
+                val = memo[k] = amp * ph
+            amp = val
+        new[lbl] = amp
+    return SparseState(state.layout, backend, state.scale, new)
 
 
 def tensor(a: SparseState, b: SparseState) -> SparseState:

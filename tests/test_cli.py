@@ -264,6 +264,19 @@ def test_assert_exact_requires_exact_backend(tmp_path, capsys):
     assert code == 2
 
 
+def test_assert_exact_refuses_a_label_table_above_the_support_limit(tmp_path, capsys):
+    # Z_2^21 has 2^21 labels, twice the support limit: the check faults
+    # before the table is built
+    n = 21
+    gens = [[int(i == j) for j in range(n)] for i in range(n)]
+    inst = write(tmp_path, "inst.json", {"m": 2, "n": n, "hidden_subgroup_generators": gens})
+    code = main(["hsp", "solve", inst, "--assert-exact"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "exceeds the hard limit" in captured.err
+
+
 def test_hsp_solve_exponent_two_instance(tmp_path, capsys):
     inst = write(
         tmp_path,

@@ -35,6 +35,7 @@ from hspsim.lattice import (
 from hspsim.state import (
     Register,
     RegisterLayout,
+    SimulationError,
     SparseState,
     StatePrep,
     amplitude_amplify,
@@ -87,6 +88,23 @@ def test_verify_hidden():
     assert verify_hidden(oracle, rep)
     assert not verify_hidden(oracle, full_subgroup(6, 1, 2))
     assert not verify_hidden(oracle, trivial_subgroup(6, 1, 2))
+
+
+def test_label_table_respects_the_support_limit(monkeypatch):
+    # the q^n table faults before building an entry above the limit, while a
+    # reduced solve on the declared subgroup, which reads no table, still runs
+    rep = subgroup_from_generators([(1, 2)], 3, 1, 2)
+    oracle = build_coset_oracle(rep)
+    label_fn, calls = oracle.label_fn, []
+    oracle.label_fn = lambda x: calls.append(x) or label_fn(x)
+    monkeypatch.setattr(state_module, "SUPPORT_LIMIT", 8)
+    with pytest.raises(SimulationError):
+        oracle.table()
+    assert calls == []
+    res = solve_hsp_zmn(oracle, mode="deterministic", method="reduced")
+    assert res.subgroup.hnf == rep.hnf
+    monkeypatch.setattr(state_module, "SUPPORT_LIMIT", 9)
+    assert len(oracle.table()) == 9
 
 
 def test_hand_rolled_oracle_agrees_with_packaged():

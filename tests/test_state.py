@@ -38,6 +38,7 @@ from hspsim.state import (
     states_close,
     states_equal,
     tensor,
+    _pruned,
 )
 
 EX = make_backend("exact", 12)
@@ -611,3 +612,67 @@ def test_float_reflection_is_bit_identical_to_the_per_label_fold(case):
 
     fpsi, fstate = to_float(psi), to_float(state)
     check_reflection(fpsi, fstate, turns, inner_product_unscaled(fpsi, fstate), repr)
+
+
+# The exact QFT canonicalizes once per output label, and the phase step and
+# the exact mass work once per distinct amplitude; these compare them with the
+# per-term folds.
+
+
+def naive_qft(state, register, inverse):
+    """The per-term fold sum_x amp_x * w^{+-step*x*y}, then _pruned."""
+    backend = state.backend
+    idx = state.layout.index[register]
+    d = state.layout.dim(register)
+    step = backend.root_order // d * (-1 if inverse else 1)
+    new = {}
+    for lbl, amp in state.amps.items():
+        for y in range(d):
+            nl = lbl[:idx] + (y,) + lbl[idx + 1 :]
+            term = amp * backend.root(step * lbl[idx] * y)
+            new[nl] = new[nl] + term if nl in new else term
+    scale = state.scale * d
+    return scale, _pruned(backend, new, scale)
+
+
+@settings(max_examples=80, deadline=None)
+@given(repeated_amplitude_states(), hst.sampled_from(["a", "b"]), hst.booleans())
+def test_batched_qft_equals_the_per_term_fold(case, register, inverse):
+    _, _, state, _ = case
+    scale, expected = naive_qft(state, register, inverse)
+    out = apply_qft(state, register, inverse=inverse)
+    assert out.scale == scale
+    assert [(lbl, a.coeffs) for lbl, a in out.amps.items()] == [
+        (lbl, a.coeffs) for lbl, a in expected.items()
+    ]
+
+
+def check_phase_step(state, flagged, turns, view):
+    backend = state.backend
+    ph = backend.root(backend.root_order // 4 * turns)
+    expected = {lbl: a * ph if lbl in flagged else a for lbl, a in state.amps.items()}
+    out = conditional_phase_i(state, lambda lbl: lbl in flagged, turns)
+    assert out.scale == state.scale
+    assert [(lbl, view(a)) for lbl, a in out.amps.items()] == [
+        (lbl, view(a)) for lbl, a in expected.items()
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(repeated_amplitude_states())
+def test_memoized_phase_step_equals_the_per_label_fold(case):
+    backend, psi, state, turns = case
+    check_phase_step(state, set(psi.amps), turns, attrgetter("coeffs"))
+    fl = make_backend("float", backend.root_order)
+    shared = {}  # equal exact values become one float object, as a copy would
+    amps = {l: shared.setdefault(a.coeffs, a.to_complex()) for l, a in state.amps.items()}
+    check_phase_step(SparseState(state.layout, fl, state.scale, amps), set(psi.amps), turns, repr)
+
+
+@settings(max_examples=80, deadline=None)
+@given(repeated_amplitude_states())
+def test_counted_mass_equals_the_per_label_fold(case):
+    backend, psi, state, _ = case
+    family = list(state.amps.values()) * 2 + list(psi.amps.values())
+    assert backend.mass(family) == naive_mass(backend, family)
+    assert backend.mass(state.amps.values()) == naive_mass(backend, state.amps.values())
