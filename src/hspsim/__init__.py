@@ -52,6 +52,7 @@ from .lattice import (
     IntMatrix,
     SubgroupRep,
     contains_element,
+    coset_element,
     enumerate_elements,
     equal_or_witness,
     full_subgroup,
@@ -59,6 +60,7 @@ from .lattice import (
     invariant_factor_decomposition,
     join,
     lift_by_m,
+    pairing_fibers,
     perp_subgroup,
     section_map,
     smith_normal_form,

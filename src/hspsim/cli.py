@@ -2,7 +2,7 @@
 combination, group-structure computations and a quick selftest.
 
 Reports are JSON (schema "1") on stdout or to a file.  Exit codes: 0 success,
-1 reported promise violation, 2 malformed input.
+1 reported promise violation or simulator resource limit, 2 malformed input.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .lattice import (
     subgroup_from_generators,
     subgroup_order,
 )
-from .state import SimulationError
+from .state import ResourceLimitError, SimulationError
 
 SCHEMA = "1"
 
@@ -412,6 +412,9 @@ def _run(args) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ResourceLimitError as exc:
+        print(f"resource limit: {exc}", file=sys.stderr)
+        return 1
     except (bb.PromiseError, BadOrderError, SimulationError) as exc:
         print(f"promise violation: {exc}", file=sys.stderr)
         return 1

@@ -18,18 +18,33 @@ two amplitudes per threshold index, both Gaussian integers, and weighs the
 classes by their integer norms on either amplitude backend.  The two rounds
 are cross-checked in the test suite.
 
-The reduced round needs the hidden subgroup's complement, so method="auto"
-runs it exactly when the oracle knows that subgroup (`hidden_known`).  Coset
-oracles (`build_coset_oracle`) and the swap test's oracle on its promise
-declare the subgroup they hide, so a reduced solve on them reads no label
-table; other classical oracles read it off their label table, built on first
-use.  Other state-valued oracles, such as those of abelian presentations
-modulo a nontrivial subgroup, find it by one exact scan of f over Z_q^n: each
-f(x) is the value block's state relabelled by mult(x, .), states are compared
-by exact equality, and the scan accepts only when their classes are the
-cosets of a subgroup and values on distinct cosets are orthogonal.  An oracle
-off that promise keeps its hidden subgroup unknown and runs the dense round,
-which stays the reference every reduced path is checked against.
+The reduced round enumerates nothing.  It needs the complement P of the
+hidden subgroup, computed once per oracle.  The pairing with the probe u
+maps P onto d * Z_m, so each class a (a multiple of d) holds |P| * d / m
+elements and is the coset (a/d) * y_d + kernel, both read off one gcd
+elimination over the pairings of u with P's basis.  A measured element is
+the lexicographically r-th element of such a coset, found in O(n^2) from the
+kernel's triangular basis: the least one over the support classes when
+deterministic, a uniform rank in the sampled class when seeded, which is the
+element and the RNG draw the sorted complement gave.  A round thus costs time
+polynomial in n * log m.
+
+The reduced round needs the hidden subgroup, so method="auto" runs it
+exactly when the oracle knows that subgroup (`hidden_known`).  Coset oracles
+(`build_coset_oracle`) and the swap test's oracle on its promise declare the
+subgroup they hide, so a reduced solve on them reads no label table.  When
+an exponent-k oracle's subgroup H is known, the composed oracle of each
+divide-by-m step declares the preimage of H under its section, which agrees
+modulo the subgroup found so far with a linear map, so reduced solves read
+no table at any k.  Other classical oracles read their subgroup off their
+label table, built on first use.  Other state-valued oracles, such as those
+of abelian presentations modulo a nontrivial subgroup, find it by one exact
+scan of f over Z_q^n: each f(x) is the value block's state relabelled by
+mult(x, .), states are compared by exact equality, and the scan accepts only
+when their classes are the cosets of a subgroup and values on distinct
+cosets are orthogonal.  An oracle off that promise keeps its hidden subgroup
+unknown and runs the dense round, which stays the reference every reduced
+path is checked against.
 
 The Fourier-sampled state (QFT, f, QFT from |0>) depends only on the oracle
 and the amplitude backend, so the dense round computes it once per oracle and
@@ -38,28 +53,30 @@ write, the phase and the reflection about the prepared state it already
 holds.  Running a circuit records no query: `Circuit.count` is the one
 accounting path.  Every (probe, j) pass makes the same queries, so both
 rounds record theirs with `HidingOracle.record_passes`, which scales a tally
-of one pass circuit walked once per oracle.
+of one pass circuit walked once per n.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from itertools import product as _cartesian
 from operator import mul
 
 from .lattice import (
     SubgroupRep,
     contains_element,
+    coset_element,
     coset_representative,
-    enumerate_elements,
     equal_or_witness,
     full_subgroup,
     join,
     lift_by_m,
+    pairing_fibers,
     perp_subgroup,
     section_map,
     subgroup_from_generators,
+    subgroup_order,
     trivial_subgroup,
 )
 from .state import (
@@ -128,9 +145,8 @@ class QueryStats:
     reduction_solves: int = 0
 
     def merge(self, other: "QueryStats", times: int = 1) -> None:
-        for f in fields(self):
-            name = f.name
-            setattr(self, name, getattr(self, name) + times * getattr(other, name))
+        for name, value in vars(other).items():
+            setattr(self, name, getattr(self, name) + times * value)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -167,6 +183,9 @@ class RoundTrace:
 
 # ---------------------------------------------------------------------------
 # Oracles
+
+# one amplification pass's query tally per n (see HidingOracle.record_passes)
+_PASS_TALLY: dict[int, QueryStats] = {}
 
 
 class HidingOracle:
@@ -208,9 +227,8 @@ class HidingOracle:
         self._table = None
         self._hidden = hidden
         self._scanned = False
-        self._perp_sorted = None
+        self._complement = None
         self._sampled: dict = {}
-        self._pass_tally = None
         if label_fn is not None:
             dims = [r.dim for r in self.value_registers]
 
@@ -333,13 +351,15 @@ class HidingOracle:
                 return None
         return hidden
 
-    def perp_elements(self) -> list[tuple[int, ...]]:
+    def complement(self) -> tuple[SubgroupRep, int]:
+        """The hidden subgroup's orthogonal complement and its order,
+        computed once per oracle."""
         if self.k != 1:
-            raise ValueError("complement enumeration is an exponent-1 operation")
-        if self._perp_sorted is None:
+            raise ValueError("the complement is an exponent-1 operation")
+        if self._complement is None:
             perp = perp_subgroup(self.hidden_subgroup())
-            self._perp_sorted = sorted(enumerate_elements(perp))
-        return self._perp_sorted
+            self._complement = (perp, subgroup_order(perp))
+        return self._complement
 
     def sampled_state(self, backend) -> SparseState:
         """QFT, f, QFT over Z_m^n run from |0> on the round layout, helper
@@ -357,17 +377,23 @@ class HidingOracle:
 
     def record_passes(self, stats: "QueryStats", passes: int) -> None:
         """Record the queries of `passes` amplification passes of a round in
-        stats.  Every (probe, j) pass makes the same queries, so one pass
-        (probe 0, index -1) is walked once per oracle with `Circuit.count`,
-        the one accounting path, and its tally scaled."""
-        if self._pass_tally is None:
-            self._pass_tally = QueryStats()
+        stats.  Every (probe, j) pass makes the same queries, and the pass
+        circuit's steps depend only on n, so one pass (probe 0, index -1) is
+        walked once per n with `Circuit.count`, the one accounting path, and
+        its tally scaled."""
+        tally = _PASS_TALLY.get(self.n)
+        if tally is None:
+            tally = _PASS_TALLY[self.n] = QueryStats()
             prep = round_prep_circuit(self, (0,) * self.n, -1)
-            amplitude_amplify(prep, _flag_is_set).count(self._pass_tally)
-        stats.merge(self._pass_tally, passes)
+            amplitude_amplify(prep, _flag_is_set).count(tally)
+        stats.merge(tally, passes)
 
     def composed_with(self, section) -> "HidingOracle":
-        """The oracle x -> f(section(x)) over Z_m^n."""
+        """The oracle x -> f(section(x)) over Z_m^n, for a `SectionMap` built
+        for a subgroup of the hidden one.  When this oracle's hidden subgroup
+        is already known (declared, scanned or read), the composed oracle
+        declares its preimage under the section."""
+        hidden = None if self._hidden is None else section.preimage(self._hidden)
         if self.is_classical:
             return HidingOracle(
                 self.m,
@@ -376,6 +402,7 @@ class HidingOracle:
                 self.value_registers,
                 label_fn=lambda x: self.label_fn(section(x)),
                 name=f"{self.name}.section",
+                hidden=hidden,
             )
         return HidingOracle(
             self.m,
@@ -386,6 +413,7 @@ class HidingOracle:
             mult=lambda x, v: self.mult(section(x), v),
             mult_inv=lambda x, v: self.mult_inv(section(x), v),
             name=f"{self.name}.section",
+            hidden=hidden,
         )
 
 
@@ -576,21 +604,27 @@ def _reduced_round(oracle, probe, js, mode, rng, backend, stats, capture):
     Both amplitudes are Gaussian integers, kept as pairs (re, im): their norms
     are integers, so the normalization check is exact and the sampling weights
     are the same on both backends.  Backend amplitudes are built only for the
-    capture payload.  The hidden subgroup comes from the oracle: declared, or
-    read off its label table."""
+    capture payload.  The hidden subgroup comes from the oracle: declared,
+    scanned, or read off its label table.
+
+    Nothing is enumerated.  The pairing maps H-perp onto d * Z_m, so the
+    classes are the multiples of d, each of |H-perp| * d / m elements, and
+    the class of a is the coset (a/d) * y_d + kernel (`pairing_fibers`).  The
+    sampled register is read as the lexicographically r-th element of that
+    coset (`coset_element`): the least over the support classes when
+    deterministic, a uniform rank in the picked class when seeded."""
     m = oracle.m
-    elems = oracle.perp_elements()
-    hn = len(elems)
-    avals = [sum(map(mul, probe, y)) % m for y in elems]
-    na = [0] * m
-    for a in avals:
-        na[a] += 1
-    classes = [a for a in range(m) if na[a]]
+    perp, hn = oracle.complement()
+    d, y_d, kernel = pairing_fibers(perp, probe)
+    classes = list(range(0, m, d))
+    na = [hn * d // m if a % d == 0 else 0 for a in range(m)]
     scale = (2 * hn) ** 3
+
+    def fiber_element(a, r):
+        return coset_element(kernel, m, [a // d * y for y in y_d], r)
 
     # each index stands for one pass of the dense round's circuit
     oracle.record_passes(stats, len(js))
-    members: dict[int, list[int]] | None = None
     if capture is not None:
         one, iunit = backend.one, backend.imag_unit()
     trace = RoundTrace(probe=tuple(probe))
@@ -624,8 +658,7 @@ def _reduced_round(oracle, probe, js, mode, rng, backend, stats, capture):
                 },
             )
         if mode == "deterministic":
-            asup = set(support_a)
-            xs, pairing = next((y, a) for y, a in zip(elems, avals) if a in asup)
+            xs, pairing = min((fiber_element(a, 0), a) for a in support_a)
         else:
             weights = [
                 (norms[flags[a][0]] + norms[flags[a][1]]) * na[a] for a in support_a
@@ -639,11 +672,7 @@ def _reduced_round(oracle, probe, js, mode, rng, backend, stats, capture):
                 if t < acc:
                     a_pick = a
                     break
-            if members is None:
-                members = {}
-                for i, a in enumerate(avals):
-                    members.setdefault(a, []).append(i)
-            xs = elems[members[a_pick][rng.randrange(na[a_pick])]]
+            xs = fiber_element(a_pick, rng.randrange(na[a_pick]))
             pairing = a_pick
         trace.attempts.append(RoundAttempt(j, xs, pairing))
         if pairing != 0:
@@ -751,12 +780,9 @@ def solve_hsp_zmn(
         else:
             low = join(low, [probe])
         if known_hidden is not None:
-            pairings = {
-                sum(p * v for p, v in zip(probe, y)) % m
-                for y in enumerate_elements(perp_known)
-            }
-            nonzero = [p for p in pairings if p]
-            rtrace.witness_divisor = min(nonzero) if nonzero else None
+            # the pairings over the complement are d * Z_m
+            d = pairing_fibers(perp_known, probe)[0]
+            rtrace.witness_divisor = d if d < m else None
             for col in low.hnf.columns():
                 if not contains_element(known_hidden, col):
                     raise AssertionError("solver invariant broken: K escaped H")

@@ -2,7 +2,8 @@
 
 A subgroup is represented by the Hermite-normal-form basis of its preimage
 lattice in Z^n (the lattice always contains m^k * Z^n, hence has full rank).
-Smith normal form with multipliers supplies duality, invariant factors and the
+Duality and the fibers of a pairing come from that triangular basis directly;
+Smith normal form with multipliers supplies invariant factors and the
 divide-by-m lifting used when reducing exponent-k instances to exponent 1.
 
 All entries are Python ints, so nothing here ever rounds.
@@ -432,7 +433,13 @@ def subgroup_from_generators(gens, m: int, k: int, n: int) -> SubgroupRep:
     if m < 2 or k < 1 or n < 1:
         raise ValueError("need m >= 2, k >= 1, n >= 1")
     q = m**k
-    basis = [[q if i == j else 0 for i in range(n)] for j in range(n)]
+    return _grown([[q if i == j else 0 for i in range(n)] for j in range(n)], gens, m, k, n)
+
+
+def _grown(basis, gens, m: int, k: int, n: int) -> SubgroupRep:
+    """The subgroup whose lattice is spanned by basis, the HNF columns (as
+    lists) of a lattice containing m^k * Z^n, and the generators mod m^k."""
+    q = m**k
     pending = []
     for g in gens:
         vec = [int(x) % q for x in g]
@@ -543,27 +550,79 @@ def equal_or_witness(a: SubgroupRep, b: SubgroupRep) -> tuple[int, ...] | None:
 
 
 def join(a: SubgroupRep, vectors) -> SubgroupRep:
-    """Smallest subgroup containing a and the given vectors."""
-    return subgroup_from_generators(list(a.hnf.columns()) + list(vectors), a.m, a.k, a.n)
+    """Smallest subgroup containing a and the given vectors, grown from a's
+    basis: vectors already in a cost one triangular check each."""
+    return _grown([list(col) for col in a.hnf.columns()], vectors, a.m, a.k, a.n)
 
 
 def perp_subgroup(rep: SubgroupRep) -> SubgroupRep:
     """The subgroup of all y with (x, y) = 0 mod m for every x in the input.
 
-    Defined for exponent k = 1 only; computed through the Smith form of the
-    basis, which turns the congruence system diagonal.
+    Defined for exponent k = 1 only.  The basis A is lower triangular and its
+    lattice contains m * Z^n, so X = m * A^{-1} is integral; the rows of X
+    span the complement's lattice (A^T y in m * Z^n).  X comes from forward
+    substitution, every division exact.
     """
     if rep.k != 1:
         raise ValueError("orthogonal complement is defined modulo m (k = 1) only")
-    m = rep.m
-    S, L, _, _ = _smith_with_inverse(rep.hnf)
-    d = [S.data[i][i] for i in range(rep.n)]
-    Lt = L.transpose()
-    cols = []
-    for i in range(rep.n):
-        scale = m // gcd(d[i], m)
-        cols.append(tuple(scale * Lt.data[r][i] for r in range(rep.n)))
-    return subgroup_from_generators(cols, m, 1, rep.n)
+    m, n, A = rep.m, rep.n, rep.hnf.data
+    X = [[0] * n for _ in range(n)]
+    for j in range(n):
+        for i in range(j, n):
+            s = (m if i == j else 0) - sum(A[i][l] * X[l][j] for l in range(j, i))
+            X[i][j], r = divmod(s, A[i][i])
+            if r:
+                raise ArithmeticError("invariant violation: m * A^-1 is not integral")
+    return subgroup_from_generators(X, m, 1, n)
+
+
+def pairing_fibers(rep: SubgroupRep, u) -> tuple[int, tuple[int, ...], list[list[int]]]:
+    """How the pairing y -> (u, y) mod m splits a subgroup P of Z_m^n.
+
+    Returns (d, y_d, kernel): the pairing maps P onto d * Z_m with
+    d = gcd(m, (u, b_i)) over P's basis columns b_i, y_d in P pairs to d, and
+    kernel is the lower-triangular HNF basis (as columns) of the pairing's
+    kernel in P.  The fiber over a multiple a of d is (a/d) * y_d + kernel.
+    One gcd elimination over the row of pairings, started from m (pairings
+    are taken mod m), finds d and y_d; the columns it zeroes span the kernel.
+    """
+    if rep.k != 1:
+        raise ValueError("the pairing is defined modulo m (k = 1) only")
+    m, n = rep.m, rep.n
+    if len(u) != n:
+        raise ValueError("vector length mismatch")
+    cols = [[m] + [0] * n] + [
+        [sum(a * b for a, b in zip(u, col)) % m, *col] for col in rep.hnf.columns()
+    ]
+    _hnf_columns(cols, 1)
+    d, *y_d = cols[0]
+    kernel = _hnf_basis([col[1:] for col in cols[1:]], [])
+    return d, tuple(y % m for y in y_d), kernel
+
+
+def coset_element(kernel, m: int, start, r: int) -> tuple[int, ...]:
+    """The r-th element, in lexicographic order of vectors in [0, m)^n, of the
+    coset start + kernel, where kernel is a lower-triangular HNF basis (as
+    columns) of a lattice containing m * Z^n.
+
+    With diagonal entries e_i, coordinate i takes the values = v_i mod e_i
+    in [0, m), each with the same number of completions, so the digit of r
+    at coordinate i picks one of them; adding that multiple of column i
+    moves only coordinates i and later.  O(n^2) work.
+    """
+    sizes = [m // col[i] for i, col in enumerate(kernel)]
+    block = prod(sizes)
+    if not 0 <= r < block:
+        raise ValueError(f"rank {r} outside a coset of {block} elements")
+    v = [x % m for x in start]
+    for i, (col, size) in enumerate(zip(kernel, sizes)):
+        block //= size
+        digit, r = divmod(r, block)
+        c = digit - v[i] // col[i]
+        if c:
+            for l in range(i, len(v)):
+                v[l] = (v[l] + c * col[l]) % m
+    return tuple(v)
 
 
 def lift_by_m(rep: SubgroupRep) -> SubgroupRep:
@@ -607,6 +666,26 @@ class SectionMap:
             y.append(r * (di // g))
         out = self.linv.mat_vec(y)
         return tuple(v % q for v in out)
+
+    def preimage(self, rep: SubgroupRep) -> SubgroupRep:
+        """The subgroup of all x in Z_m^n with section(x) in rep, for rep
+        containing the subgroup this map was built for.
+
+        The section differs from x -> Linv diag(d_i / gcd(d_i, m)) x by an
+        element of that subgroup, and this linear map sends m * Z^n into it,
+        so the preimage of rep is a lattice.  Column operations on
+        [(M e_j; e_j) | (rep columns; 0)] that bring the top n rows to HNF
+        zero the top of the right n columns, whose bottoms span it.
+        """
+        n = self.n
+        stretch = [d // gcd(d, self.m) for d in self.diag]
+        cols = [
+            [row[j] * stretch[j] for row in self.linv.data] + [int(i == j) for i in range(n)]
+            for j in range(n)
+        ]
+        cols += [list(col) + [0] * n for col in rep.hnf.columns()]
+        _hnf_columns(cols, n)
+        return subgroup_from_generators([col[n:] for col in cols[n:]], self.m, 1, n)
 
 
 def section_map(rep: SubgroupRep, lifted: SubgroupRep | None = None) -> SectionMap:

@@ -39,9 +39,14 @@ class MeasurementNotDetermined(SimulationError):
     """Deterministic measurement found support straddling the announced partition."""
 
 
+class ResourceLimitError(SimulationError):
+    """A state or table would exceed the simulator's support limit; the
+    instance itself may keep every promise."""
+
+
 def _check_support(count: int) -> None:
     if count > SUPPORT_LIMIT:
-        raise SimulationError(f"support {count} exceeds the hard limit {SUPPORT_LIMIT}")
+        raise ResourceLimitError(f"support {count} exceeds the hard limit {SUPPORT_LIMIT}")
 
 
 # ---------------------------------------------------------------------------

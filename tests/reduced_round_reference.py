@@ -2,14 +2,17 @@
 class.
 
 This is the original per-class form of `hspsim.hsp._reduced_round`: it
-evaluates the final amplitude separately for every (pairing class, helper bit)
-pair and the sampling weight of each class with a second mass pass.  The
-package now uses the closed form with one amplitude per flag bit; the tests
-run both and require identical amplitudes, supports, measurements and RNG
-consumption.
+enumerates and sorts the hidden subgroup's complement, evaluates the final
+amplitude separately for every (pairing class, helper bit) pair and the
+sampling weight of each class with a second mass pass, and reads measured
+elements off the sorted list.  The package now uses the closed form with one
+amplitude per flag bit and reads elements off the pairing's fibers without
+enumerating; the tests run both and require identical amplitudes, supports,
+measurements and RNG consumption.
 """
 
 from hspsim.hsp import RoundAttempt, RoundTrace, round_flag
+from hspsim.lattice import enumerate_elements, perp_subgroup
 
 
 def reference_reduced_round(oracle, probe, js, mode, rng, backend, stats, capture):
@@ -18,7 +21,7 @@ def reference_reduced_round(oracle, probe, js, mode, rng, backend, stats, captur
     prepared state, so the final amplitude on a label depends only on that
     label's pairing class and helper qubit; the class histogram is everything."""
     m, n = oracle.m, oracle.n
-    elems = oracle.perp_elements()
+    elems = sorted(enumerate_elements(perp_subgroup(oracle.hidden_subgroup())))
     hn = len(elems)
     avals = [sum(p * y[i] for i, p in enumerate(probe)) % m for y in elems]
     na = [0] * m

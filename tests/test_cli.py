@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hspsim import state as state_module
 from hspsim.cli import main
 
 
@@ -275,6 +276,18 @@ def test_assert_exact_refuses_a_label_table_above_the_support_limit(tmp_path, ca
     assert code == 1
     assert captured.out == ""
     assert "exceeds the hard limit" in captured.err
+
+
+def test_support_limit_is_reported_as_a_resource_limit(tmp_path, capsys, monkeypatch):
+    # the instance keeps every promise; only the simulator's support limit
+    # (lowered here below the 36 labels of Z_6^2) stops it
+    monkeypatch.setattr(state_module, "SUPPORT_LIMIT", 35)
+    inst = write(tmp_path, "inst.json", {"m": 6, "n": 2, "hidden_subgroup_generators": [[2, 3]]})
+    code = main(["hsp", "solve", inst, "--assert-exact"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("resource limit: support 36 exceeds the hard limit 35")
 
 
 def test_hsp_solve_exponent_two_instance(tmp_path, capsys):

@@ -9,6 +9,7 @@ from hspsim.lattice import (
     IntMatrix,
     SubgroupRep,
     contains_element,
+    coset_element,
     coset_representative,
     enumerate_elements,
     equal_or_witness,
@@ -20,6 +21,7 @@ from hspsim.lattice import (
     lift_by_m,
     matrix_from_json,
     matrix_to_json,
+    pairing_fibers,
     parse_matrix_text,
     perp_subgroup,
     section_map,
@@ -357,6 +359,64 @@ def test_perp_involution_and_order_product():
             assert subgroup_order(rep) * subgroup_order(p) == m**n
 
 
+@st.composite
+def small_subgroups(draw, max_points=1000):
+    """A subgroup of Z_m^n with m^n <= max_points, by random generators."""
+    m, n = draw(st.sampled_from(
+        [(m, n) for m in range(2, 13) for n in range(1, 5) if m**n <= max_points]
+    ))
+    vec = st.tuples(*[st.integers(0, m - 1)] * n)
+    return subgroup_from_generators(draw(st.lists(vec, max_size=n + 1)), m, 1, n)
+
+
+def pairing(u, y, m):
+    return sum(a * b for a, b in zip(u, y)) % m
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_subgroups())
+def test_perp_is_the_brute_force_complement(rep):
+    m, n = rep.m, rep.n
+    points = lattice_points(rep.hnf.to_lists(), m, n)
+    perp = perp_subgroup(rep)
+    expected = {y for y in cartesian(range(m), repeat=n)
+                if all(pairing(x, y, m) == 0 for x in points)}
+    assert set(enumerate_elements(perp)) == expected
+    assert perp_subgroup(perp).hnf == rep.hnf
+    assert len(points) * subgroup_order(perp) == m**n
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_subgroups(), st.data())
+def test_pairing_fibers_match_the_pairing_histogram(rep, data):
+    # every fiber of y -> (u, y) on the subgroup, listed in order by rank
+    m, n = rep.m, rep.n
+    u = data.draw(st.tuples(*[st.integers(-m, 2 * m)] * n))
+    fibers = {}
+    for y in sorted(enumerate_elements(rep)):
+        fibers.setdefault(pairing(u, y, m), []).append(y)
+    d, y_d, kernel = pairing_fibers(rep, u)
+    assert pairing(u, y_d, m) == d % m and contains_element(rep, y_d)
+    assert sorted(fibers) == list(range(0, m, d))
+    assert {len(ys) for ys in fibers.values()} == {subgroup_order(rep) * d // m}
+    for a, ys in fibers.items():
+        start = [a // d * y for y in y_d]
+        assert [coset_element(kernel, m, start, r) for r in range(len(ys))] == ys
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_subgroups(), st.data())
+def test_coset_element_is_the_sorted_coset(rep, data):
+    m, n = rep.m, rep.n
+    start = data.draw(st.tuples(*[st.integers(-3 * m, 3 * m)] * n))
+    kernel = rep.hnf.columns()
+    coset = sorted({tuple((a + b) % m for a, b in zip(start, y))
+                    for y in enumerate_elements(rep)})
+    assert [coset_element(kernel, m, start, r) for r in range(len(coset))] == coset
+    with pytest.raises(ValueError):
+        coset_element(kernel, m, start, len(coset))
+
+
 # ---------------------------------------------------------------------------
 # Divide-by-m lifting
 
@@ -427,6 +487,28 @@ def test_section_map_is_homomorphism_mod_subgroup():
                 for v in lattice_points(k0.hnf.to_lists(), q, n)
             }
             assert images == cosets
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_section_preimage_is_the_brute_force_preimage(data):
+    # for current <= H in Z_{m^k}^n: the x in Z_m^n with
+    # section(x) - section(0) in H, against the composed map's own preimage
+    m, k, n = data.draw(st.sampled_from(
+        [(2, 2, 1), (2, 2, 2), (2, 2, 3), (3, 2, 1), (3, 2, 2), (4, 2, 2), (6, 2, 1),
+         (2, 3, 2), (6, 2, 2)]
+    ))
+    q = m**k
+    vec = st.tuples(*[st.integers(0, q - 1)] * n)
+    current = subgroup_from_generators(data.draw(st.lists(vec, max_size=n)), m, k, n)
+    hidden = join(current, data.draw(st.lists(vec, max_size=n)))
+    sec = section_map(current, lift_by_m(current))
+    base = sec((0,) * n)
+    expected = {x for x in cartesian(range(m), repeat=n)
+                if contains_element(hidden, [a - b for a, b in zip(sec(x), base)])}
+    pre = sec.preimage(hidden)
+    assert (pre.m, pre.k, pre.n) == (m, 1, n)
+    assert set(enumerate_elements(pre)) == expected
 
 
 # ---------------------------------------------------------------------------
