@@ -163,12 +163,7 @@ def exact_swap_test(prep1, prep2, ctx: BlackboxContext, check_promise: bool = Fa
     dim = s1.layout.registers[0].dim
     if dim != s2.layout.registers[0].dim:
         raise ValueError("preparations act on different register sizes")
-    ov2 = ctx.q.abs2(inner_product_unscaled(s1, s2))
-    if ctx.q.is_exact:
-        equal, orthogonal = ov2 == s1.scale * s2.scale, ov2 == 0
-    else:
-        rel = float(ov2) / (float(s1.scale) * float(s2.scale))
-        equal, orthogonal = abs(rel - 1.0) <= 1e-9, abs(rel) <= 1e-9
+    equal, orthogonal = ctx.q.overlap(inner_product_unscaled(s1, s2), s1.scale, s2.scale)
     if check_promise and not (equal or orthogonal):
         raise PromiseError("states are neither equal-up-to-phase nor orthogonal")
 
@@ -295,7 +290,7 @@ def abelian_presentation(gens, k_prep, ctx: BlackboxContext) -> Presentation:
         oracle,
         mode=ctx.mode,
         seed=ctx.rng.randrange(1 << 30) if ctx.mode == "seeded" else None,
-        backend=ctx.q if not isinstance(ctx.q, str) else ctx.q,
+        backend=ctx.q,
         stats=ctx.stats,
     )
     relations = res.subgroup.hnf
@@ -552,12 +547,6 @@ def _series_state(ctx: BlackboxContext, elements: tuple[int, ...]) -> SparseStat
     return st
 
 
-def series_prep(series: PolycyclicSeries, ctx: BlackboxContext, level: int | None = None) -> StatePrep:
-    """Preparation of the uniform superposition over a series level."""
-    elems = tuple(series.elements if level is None else series.elements[:level])
-    return StatePrep(("val",), _series_state(ctx, elems), f"level-{len(elems)}")
-
-
 # ---------------------------------------------------------------------------
 # Polycyclic series construction
 
@@ -601,14 +590,21 @@ def build_polycyclic_series(
     """
     if ctx is None:
         ctx = BlackboxContext(backend, m)
+    return _polycyclic_series(ctx, backend.generators)
+
+
+def _polycyclic_series(ctx: BlackboxContext, generators):
+    """build_polycyclic_series for the subgroup the given elements generate:
+    conjugation closure runs over these generators only, and the context's
+    arithmetic, caches and accounting are used throughout."""
     arith = ctx.arith
-    for g in backend.generators:
+    for g in generators:
         if arith.order_m_exponent(g) is None:
             return BadOrder(element=g)
     series = PolycyclicSeries([], [])
     replacements = 0
     while True:
-        outside = [g for g in backend.generators if not _member(ctx, g, series)]
+        outside = [g for g in generators if not _member(ctx, g, series)]
         if not outside:
             return series
         x = outside[0]
@@ -639,7 +635,7 @@ def build_polycyclic_series(
                         break
                 if witness is not None:
                     replacements += 1
-                    if replacements > backend.l_bits:
+                    if replacements > ctx.backend.l_bits:
                         return NotSolvable(replacements=replacements)
                     x = witness
                     replaced = True
@@ -711,39 +707,9 @@ def abelian_factor_decomposition(
     generators modulo it."""
     if ctx is None:
         ctx = BlackboxContext(backend, m)
-    sub_series = _build_series_for(ctx, list(normal_gens))
+    sub_series = _polycyclic_series(ctx, list(normal_gens))
     if not isinstance(sub_series, PolycyclicSeries):
         raise PromiseError(f"normal subgroup is not solvable of m-power order: {sub_series}")
     sub_state = _series_state(ctx, tuple(sub_series.elements))
     pres = abelian_presentation(backend.generators, sub_state, ctx)
     return pres.decomposition
-
-
-def _build_series_for(ctx: BlackboxContext, gens: list[int]):
-    """build_polycyclic_series restricted to the subgroup the given elements
-    generate (conjugation closure runs over these generators only); caches,
-    arithmetic and accounting are shared with the calling context."""
-    if not gens:
-        return PolycyclicSeries([], [])
-    view = _SubgroupView(ctx.backend, gens)
-    sub_ctx = BlackboxContext.__new__(BlackboxContext)
-    sub_ctx.__dict__.update(ctx.__dict__)
-    sub_ctx.backend = view
-    return build_polycyclic_series(view, ctx.m, sub_ctx)
-
-
-class _SubgroupView(GroupBackend):
-    """The same oracle with a restricted generator list."""
-
-    def __init__(self, inner: GroupBackend, gens):
-        super().__init__()
-        self.inner = inner
-        self.kind = inner.kind
-        self.l_bits = inner.l_bits
-        self.generators = list(gens)
-
-    def mul(self, a: int, b: int) -> int:
-        return self.inner.mul(a, b)
-
-    def identity_code(self) -> int:
-        return self.inner.identity_code()

@@ -18,7 +18,7 @@ from math import gcd as _gcd
 
 from . import blackbox as bb
 from .gcdcomb import combine_many
-from .groups import BadOrderError, NotAGroupError, load_group
+from .groups import BadOrderError, NotAGroupError, _integer, load_group
 from .hsp import build_coset_oracle, solve_hsp, verify_hidden
 from .lattice import (
     IntMatrix,
@@ -56,7 +56,7 @@ def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -70,12 +70,17 @@ def _read_json(path: str):
 
 def _load_matrix(path: str) -> IntMatrix:
     text = _read_text(path)
-    stripped = text.lstrip()
     try:
-        if stripped.startswith("{"):
-            return matrix_from_json(text)
+        if text.lstrip().startswith("{"):
+            obj = json.loads(text)
+            _integer(obj["rows"], "rows")
+            _integer(obj["cols"], "cols")
+            for row in obj["data"]:
+                for v in row:
+                    _integer(v, "matrix entry")
+            return matrix_from_json(obj)
         return parse_matrix_text(text)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
@@ -97,10 +102,13 @@ def _cmd_hsp_solve(args) -> int:
     cfg = _config(args)
     payload = _read_json(args.instance)
     try:
-        m = int(payload["m"])
-        k = int(payload.get("k", 1))
-        n = int(payload["n"])
-        gens = [tuple(int(v) for v in g) for g in payload["hidden_subgroup_generators"]]
+        m = _integer(payload["m"], "m")
+        k = _integer(payload.get("k", 1), "k")
+        n = _integer(payload["n"], "n")
+        gens = [
+            tuple(_integer(v, "generator entry") for v in g)
+            for g in payload["hidden_subgroup_generators"]
+        ]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad instance file: {exc}") from exc
     try:

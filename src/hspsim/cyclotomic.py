@@ -14,12 +14,6 @@ from functools import lru_cache
 from math import cos, pi, sin
 
 
-def _poly_trim(coeffs: list) -> list:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
 def _poly_div_exact(num: list, den: list) -> list:
     """Divide integer polynomials known to divide exactly. den must be monic
     up to sign of its leading coefficient (cyclotomic polynomials are monic)."""

@@ -603,8 +603,9 @@ def _reduced_round(oracle, probe, js, mode, rng, backend, stats, capture):
 
     Both amplitudes are Gaussian integers, kept as pairs (re, im): their norms
     are integers, so the normalization check is exact and the sampling weights
-    are the same on both backends.  Backend amplitudes are built only for the
-    capture payload.  The hidden subgroup comes from the oracle: declared,
+    are the same on both backends; the backend's `draw`, the one the dense
+    measurement uses, picks the class.  Backend amplitudes are built only for
+    the capture payload.  The hidden subgroup comes from the oracle: declared,
     scanned, or read off its label table.
 
     Nothing is enumerated.  The pairing maps H-perp onto d * Z_m, so the
@@ -663,15 +664,7 @@ def _reduced_round(oracle, probe, js, mode, rng, backend, stats, capture):
             weights = [
                 (norms[flags[a][0]] + norms[flags[a][1]]) * na[a] for a in support_a
             ]
-            total = sum(weights)
-            t = rng.randrange(total) if backend.is_exact else rng.random() * total
-            acc = 0
-            a_pick = support_a[-1]
-            for a, w in zip(support_a, weights):
-                acc += w
-                if t < acc:
-                    a_pick = a
-                    break
+            a_pick = support_a[backend.draw(rng, weights)]
             xs = fiber_element(a_pick, rng.randrange(na[a_pick]))
             pairing = a_pick
         trace.attempts.append(RoundAttempt(j, xs, pairing))

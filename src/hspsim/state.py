@@ -7,6 +7,14 @@ cyclotomic integers, every square root generated by the transforms is absorbed
 into N, and normalization sum a*conj(a) = N is an exact identity maintained by
 every primitive.  A float backend with complex-double amplitudes mirrors the
 same interface for cross-checking.
+
+The two backend classes are the only code that knows which amplitude type is
+in use: the weighted draw, the conjugate dot product, the transform of one
+QFT fiber, the zero, equality and overlap tests, the memo key and the dump
+format are backend methods, and the primitives below never branch on the
+backend.  The float tests carry tolerances: zero within 1e-10 * sqrt(N), a
+mass equal to its scale within 1e-6 relative, and amplitude products and
+squared overlaps equal within 1e-9 relative.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ import cmath
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod, sqrt
+from math import lcm, sqrt
 from operator import attrgetter
 
 from .cyclotomic import CycloField, Cyclotomic
@@ -53,11 +61,23 @@ def _check_support(count: int) -> None:
 # Amplitude backends
 
 
+def _walk(t, weights) -> int:
+    """Index of the first weight whose running total exceeds t (the last index
+    when none does): the one weighted draw, fed a threshold by each backend."""
+    acc = 0
+    for i, w in enumerate(weights):
+        acc += w
+        if t < acc:
+            return i
+    return len(weights) - 1
+
+
 class ExactBackend:
     """Cyclotomic-integer amplitudes in Q(w), w of order M."""
 
     name = "exact"
     is_exact = True
+    memo_key = staticmethod(attrgetter("coeffs"))
 
     def __init__(self, root_order: int):
         if root_order % 4:
@@ -76,12 +96,33 @@ class ExactBackend:
     def is_zero(self, amp, scale) -> bool:
         return amp.is_zero()
 
+    def is_normalized(self, mass, scale) -> bool:
+        return mass == scale
+
+    def equal(self, a, b, scale) -> bool:
+        return (a - b).is_zero()
+
+    def overlap(self, z, scale_a, scale_b) -> tuple[bool, bool]:
+        """(equal up to a phase, orthogonal) for two states of the given
+        scales whose unscaled inner product is z."""
+        ov2 = z.norm2()
+        return ov2 == scale_a * scale_b, ov2 == 0
+
+    def is_positive_real(self, z) -> bool:
+        # only asked of an overlap already found to be exactly
+        # +-sqrt(scale_a * scale_b), so a float evaluation fixes the sign safely
+        return (z - z.conjugate()).is_zero() and z.to_complex().real > 0
+
     def conj(self, amp):
         return amp.conjugate()
 
     def abs2(self, amp):
         """amp * conj(amp) as an exact field element (real, not always rational)."""
         return amp.norm2()
+
+    def conj_dot(self, pairs):
+        """sum conj(a) * b over (a, b) amplitude pairs."""
+        return self.field.conj_dot(pairs)
 
     def mass(self, amps):
         """Total squared magnitude of an amplitude family, as an exact rational.
@@ -100,16 +141,68 @@ class ExactBackend:
             )
         return total.rational_value()
 
+    def draw(self, rng, masses) -> int:
+        """Index drawn with probability proportional to its (rational) mass:
+        fractional masses are scaled to integers over a common denominator and
+        the threshold comes from rng.randrange, so the draw is exact."""
+        total = sum(masses)
+        if type(total) is not int:
+            den = lcm(*[x.denominator for x in masses])
+            masses = [int(x * den) for x in masses]
+            total = sum(masses)
+        return _walk(rng.randrange(total), masses)
+
+    def fourier(self, d: int, step: int):
+        """The transform of one fiber of a dimension-d register, with phase
+        w^(step*x*y): a function from the fiber's (x, amplitude) terms to its d
+        output amplitudes, y = 0..d-1.  Each output is accumulated as raw
+        coefficients over powers of w, each input coefficient shifted by its
+        exponent, and canonicalized once; canonical residues are unique, so it
+        equals the per-term fold.  Nonzero coefficients are listed once per
+        distinct amplitude across all fibers of one transform."""
+        M = self.root_order
+        # i + offs[t] lies in [-M, M): a negative index wraps to the same power
+        offs = [(step * t) % M - M for t in range(d)]
+        from_raw = self.field.from_raw
+        nonzero: dict = {}  # coefficient tuple -> its nonzero (power, coefficient)s
+
+        def fiber(terms):
+            listed = []
+            for x, amp in terms:
+                c = amp.coeffs
+                nz = nonzero.get(c)
+                if nz is None:
+                    nz = nonzero[c] = [(i, v) for i, v in enumerate(c) if v]
+                listed.append((x, nz))
+            out = []
+            for y in range(d):
+                raw = [0] * M
+                for x, nz in listed:
+                    off = offs[x * y % d]
+                    for i, v in nz:
+                        raw[i + off] += v
+                out.append(from_raw(raw))
+            return out
+
+        return fiber
+
+    def format_amp(self, amp) -> str:
+        return str(list(amp.coeffs))
+
     def to_complex(self, amp) -> complex:
         return amp.to_complex()
 
 
 class FloatBackend:
-    """Complex-double mirror of the exact backend (comparison runs only)."""
+    """Complex-double mirror of the exact backend (comparison runs only); its
+    tests carry the tolerances listed in the module docstring."""
 
     name = "float"
     is_exact = False
     tol = 1e-10
+    # equal complex values can differ in the sign of a zero, so memo tables
+    # key on the amplitude objects
+    memo_key = staticmethod(id)
 
     def __init__(self, root_order: int):
         if root_order % 4:
@@ -127,14 +220,55 @@ class FloatBackend:
     def is_zero(self, amp, scale) -> bool:
         return abs(amp) <= self.tol * sqrt(float(scale))
 
+    def is_normalized(self, mass, scale) -> bool:
+        return abs(mass - float(scale)) <= 1e-6 * float(scale)
+
+    def equal(self, a, b, scale) -> bool:
+        return abs(a - b) <= 1e-9 * float(scale)
+
+    def overlap(self, z, scale_a, scale_b) -> tuple[bool, bool]:
+        rel = self.abs2(z) / (float(scale_a) * float(scale_b))
+        return abs(rel - 1.0) <= 1e-9, abs(rel) <= 1e-9
+
+    def is_positive_real(self, z) -> bool:
+        return abs(z.imag) < 1e-9 and z.real > 0
+
     def conj(self, amp):
         return amp.conjugate()
 
     def abs2(self, amp):
         return amp.real * amp.real + amp.imag * amp.imag
 
+    def conj_dot(self, pairs):
+        out = None
+        for a, b in pairs:
+            term = a.conjugate() * b
+            out = term if out is None else out + term
+        return self.zero if out is None else out
+
     def mass(self, amps):
         return sum(self.abs2(a) for a in amps)
+
+    def draw(self, rng, masses) -> int:
+        return _walk(rng.random() * sum(masses), masses)
+
+    def fourier(self, d: int, step: int):
+        roots = [self.root(step * t) for t in range(d)]
+
+        def fiber(terms):
+            out = []
+            for y in range(d):
+                acc = None
+                for x, amp in terms:
+                    term = amp * roots[x * y % d]
+                    acc = term if acc is None else acc + term
+                out.append(acc)
+            return out
+
+        return fiber
+
+    def format_amp(self, amp) -> str:
+        return repr(amp)
 
     def to_complex(self, amp) -> complex:
         return amp
@@ -186,9 +320,6 @@ class RegisterLayout:
     def names(self) -> list[str]:
         return [r.name for r in self.registers]
 
-    def label_space(self) -> int:
-        return prod(r.dim for r in self.registers)
-
     def zero_label(self) -> tuple[int, ...]:
         return (0,) * len(self.registers)
 
@@ -231,24 +362,16 @@ class SparseState:
         return self.backend.mass(self.amps.values())
 
     def check_normalization(self) -> None:
-        if self.backend.is_exact:
-            if self.mass() != self.scale:
-                raise SimulationError("normalization invariant violated")
-        else:
-            if abs(self.mass() - float(self.scale)) > 1e-6 * float(self.scale):
-                raise SimulationError("normalization drifted beyond float tolerance")
+        if not self.backend.is_normalized(self.mass(), self.scale):
+            raise SimulationError("normalization invariant violated")
 
     def complex_amplitude(self, label) -> complex:
         return self.backend.to_complex(self.amplitude(label)) / sqrt(float(self.scale))
 
     def dump(self) -> str:
+        fmt = self.backend.format_amp
         lines = [f"N={self.scale}"]
-        for label in self.support():
-            a = self.amps[label]
-            if self.backend.is_exact:
-                lines.append(f"{label} {list(a.coeffs)}")
-            else:
-                lines.append(f"{label} {a!r}")
+        lines += [f"{label} {fmt(self.amps[label])}" for label in self.support()]
         return "\n".join(lines)
 
     def copy_with(self, amps=None, scale=None) -> "SparseState":
@@ -284,11 +407,7 @@ def apply_qft(state: SparseState, register: str, inverse: bool = False) -> Spars
 
     Output labels come in first-seen order: each fiber (the labels that differ
     only in this register) gives its d labels y = 0..d-1 where its first input
-    label stood.  On the exact backend each output amplitude
-    sum_x amp_x * w^{+-step*x*y} is accumulated as raw coefficients over powers
-    of w, each input coefficient shifted by its exponent, and canonicalized
-    once; canonical residues are unique, so it equals the per-term fold.  The
-    float backend folds term by term."""
+    label stood.  The backend computes each fiber's d outputs."""
     idx = state.layout.index[register]
     reg = state.layout.registers[idx]
     if reg.kind != "digit":
@@ -298,42 +417,15 @@ def apply_qft(state: SparseState, register: str, inverse: bool = False) -> Spars
     M = backend.root_order
     if M % d:
         raise ValueError(f"register dimension {d} does not divide the root order {M}")
-    step = -(M // d) if inverse else M // d
-    if backend.is_exact:
-        fibers: dict = {}
-        nonzero: dict = {}  # coefficient tuple -> its nonzero (power, coefficient)s
-        for label, amp in state.amps.items():
-            c = amp.coeffs
-            nz = nonzero.get(c)
-            if nz is None:
-                nz = nonzero[c] = [(i, v) for i, v in enumerate(c) if v]
-            fibers.setdefault((label[:idx], label[idx + 1 :]), []).append((label[idx], nz))
-        _check_support(len(fibers) * d)
-        # i + offs[t] lies in [-M, M): a negative index wraps to the same power
-        offs = [(step * t) % M - M for t in range(d)]
-        from_raw = backend.field.from_raw
-        new: dict = {}
-        for (pre, post), terms in fibers.items():
-            for y in range(d):
-                raw = [0] * M
-                for x, nz in terms:
-                    off = offs[x * y % d]
-                    for i, v in nz:
-                        raw[i + off] += v
-                new[pre + (y,) + post] = from_raw(raw)
-    else:
-        roots = [backend.root(step * t) for t in range(d)]
-        new = {}
-        for label, amp in state.amps.items():
-            x = label[idx]
-            pre = label[:idx]
-            post = label[idx + 1 :]
-            for y in range(d):
-                ph = roots[(x * y) % d]
-                nl = pre + (y,) + post
-                cur = new.get(nl)
-                new[nl] = amp * ph if cur is None else cur + amp * ph
-        _check_support(len(new))
+    fibers: dict = {}
+    for label, amp in state.amps.items():
+        fibers.setdefault((label[:idx], label[idx + 1 :]), []).append((label[idx], amp))
+    _check_support(len(fibers) * d)
+    transform = backend.fourier(d, -(M // d) if inverse else M // d)
+    new: dict = {}
+    for (pre, post), terms in fibers.items():
+        for y, out in enumerate(transform(terms)):
+            new[pre + (y,) + post] = out
     scale = state.scale * d
     return SparseState(state.layout, backend, scale, _pruned(backend, new, scale))
 
@@ -371,14 +463,13 @@ def apply_classical_map(state: SparseState, mapping) -> SparseState:
 def conditional_phase_i(state: SparseState, predicate, turns: int = 1) -> SparseState:
     """Multiply amplitudes on labels satisfying the predicate by i^turns.
 
-    The product is computed once per distinct flagged amplitude: exact
-    amplitudes key on their canonical coefficients, float ones on the objects
-    (equal complex values can differ in the sign of a zero)."""
+    The product is computed once per distinct flagged amplitude (keyed by the
+    backend's memo_key)."""
     backend = state.backend
     ph = backend.root((backend.root_order // 4) * (turns % 4))
     if turns % 4 == 0:
         return state.copy_with()
-    key = attrgetter("coeffs") if backend.is_exact else id
+    key = backend.memo_key
     memo = {}
     new = {}
     for lbl, amp in state.amps.items():
@@ -429,10 +520,6 @@ def rename_register(state: SparseState, old: str, new: str) -> SparseState:
 # Measurement
 
 
-def _exact_fraction(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def measure_register(
     state: SparseState,
     register: str,
@@ -465,38 +552,17 @@ def measure_register(
     elif mode == "seeded":
         if rng is None:
             raise ValueError("seeded measurement needs an rng")
-        masses = {v: state.backend.mass(amps) for v, amps in groups.items()}
-        values = sorted(masses)
-        if state.backend.is_exact:
-            fracs = [_exact_fraction(masses[v]) for v in values]
-            den = lcm(*(f.denominator for f in fracs))
-            weights = [int(f * den) for f in fracs]
-            total = sum(weights)
-            t = rng.randrange(total)
-            acc = 0
-            outcome = values[-1]
-            for v, w in zip(values, weights):
-                acc += w
-                if t < acc:
-                    outcome = v
-                    break
-        else:
-            total = float(sum(masses[v] for v in values))
-            t = rng.random() * total
-            acc = 0.0
-            outcome = values[-1]
-            for v in values:
-                acc += masses[v]
-                if t < acc:
-                    outcome = v
-                    break
-        new_scale = masses[outcome]
+        values = sorted(groups)
+        masses = [state.backend.mass(groups[v]) for v in values]
+        i = state.backend.draw(rng, masses)
+        outcome, new_scale = values[i], masses[i]
     else:
         raise ValueError(f"unknown measurement mode {mode!r}")
 
     kept = {lbl: a for lbl, a in state.amps.items() if lbl[idx] == outcome}
-    if state.backend.is_exact and isinstance(new_scale, Fraction):
-        # clear the rational scale back to an integer by rescaling amplitudes
+    if isinstance(new_scale, Fraction):
+        # an exact rational scale is cleared back to an integer by rescaling
+        # the amplitudes
         den = new_scale.denominator
         kept = {lbl: a * den for lbl, a in kept.items()}
         new_scale = int(new_scale * den * den)
@@ -548,12 +614,8 @@ def factor_split(state: SparseState, registers) -> tuple[SparseState, SparseStat
         for c in c_keys:
             lhs = grouped[r][c] * a00
             rhs = arc0 * grouped[r0][c]
-            if state.backend.is_exact:
-                if not (lhs - rhs).is_zero():
-                    raise NotProductError("amplitudes do not factor")
-            else:
-                if abs(lhs - rhs) > 1e-9 * float(state.scale):
-                    raise NotProductError("amplitudes do not factor")
+            if not state.backend.equal(lhs, rhs, state.scale):
+                raise NotProductError("amplitudes do not factor")
 
     left_layout = RegisterLayout([state.layout.registers[i] for i in idxs])
     right_layout = RegisterLayout([state.layout.registers[i] for i in rest_idxs])
@@ -568,19 +630,8 @@ def factor_split(state: SparseState, registers) -> tuple[SparseState, SparseStat
 
 def inner_product_unscaled(a: SparseState, b: SparseState):
     """sum conj(a_amp) * b_amp over the common support (scales not divided out)."""
-    if a.backend.is_exact:
-        common = ((a.amps.get(lbl), bv) for lbl, bv in b.amps.items())
-        return a.backend.field.conj_dot((av, bv) for av, bv in common if av is not None)
-    out = None
-    for lbl, bv in b.amps.items():
-        av = a.amps.get(lbl)
-        if av is None:
-            continue
-        term = a.backend.conj(av) * bv
-        out = term if out is None else out + term
-    if out is None:
-        out = a.backend.zero
-    return out
+    common = ((a.amps.get(lbl), bv) for lbl, bv in b.amps.items())
+    return a.backend.conj_dot((av, bv) for av, bv in common if av is not None)
 
 
 def states_equal(a: SparseState, b: SparseState, up_to_phase: bool = False) -> bool:
@@ -588,26 +639,11 @@ def states_equal(a: SparseState, b: SparseState, up_to_phase: bool = False) -> b
     if a.layout.names() != b.layout.names():
         return False
     z = inner_product_unscaled(a, b)
-    if a.backend.is_exact:
-        overlap2 = a.backend.abs2(z)
-        if overlap2 != a.scale * b.scale:
-            return False
-        if up_to_phase:
-            return True
-        # phase-free equality additionally needs <a|b> real and positive;
-        # z is then exactly +-sqrt(scale_a * scale_b), so a float evaluation
-        # determines the sign safely
-        zc = a.backend.conj(z)
-        if not (z - zc).is_zero():
-            return False
-        return z.to_complex().real > 0
-    overlap = abs(a.backend.to_complex(z)) / sqrt(float(a.scale) * float(b.scale))
-    if abs(overlap - 1.0) > 1e-9:
+    equal, _orthogonal = a.backend.overlap(z, a.scale, b.scale)
+    if not equal:
         return False
-    if up_to_phase:
-        return True
-    zc = a.backend.to_complex(z)
-    return abs(zc.imag) < 1e-9 and zc.real > 0
+    # phase-free equality additionally needs <a|b> real and positive
+    return up_to_phase or a.backend.is_positive_real(z)
 
 
 def states_close(a: SparseState, b: SparseState, tol: float = 1e-9) -> bool:
@@ -797,18 +833,13 @@ class ReflectStep(Step):
         backend = state.backend
         z = inner_product_unscaled(psi, state)
         phase = backend.root((backend.root_order // 4) * self.turns)
-        if backend.is_exact:
-            coef = (phase - backend.one) * z
-        else:
-            coef = (phase - 1.0) * z
+        coef = (phase - backend.one) * z
         npsi = psi.scale
         pamps = psi.amps
         # amp * npsi + coef * p depends on the label only through (amp, p),
         # and the states here repeat few values over many labels: fold each
-        # distinct pair once.  Exact amplitudes key on their canonical
-        # coefficients; float ones on the objects, since equal complex values
-        # can differ in the sign of a zero.
-        key = attrgetter("coeffs") if backend.is_exact else id
+        # distinct pair once, keyed by the backend's memo_key.
+        key = backend.memo_key
         memo = {}
         new = {}
         for lbl, amp in state.amps.items():

@@ -255,6 +255,33 @@ def test_malformed_group_exits_two(tmp_path, capsys, group):
     assert captured.err.startswith("error: bad group file:")
 
 
+@pytest.mark.parametrize(
+    "argv,content",
+    [
+        (["hsp", "solve"], b'\xff\xfe{"m": 4}'),
+        (["lattice", "hnf"], b"\xff\xfe2 2\n1 0\n0 1\n"),
+        (["hsp", "solve"], b'{"m": 1e400, "n": 1, "hidden_subgroup_generators": []}'),
+        (["lattice", "hnf"], b'{"rows": 1, "cols": 1, "data": [[1e400]]}'),
+        (["lattice", "hnf"], b'{"rows": 1.0, "cols": 1, "data": [[2]]}'),
+        (["lattice", "hnf"], b'{"rows": 1, "cols": 1, "data": [[2.5]]}'),
+        (["hsp", "solve"], b'{"m": 4, "n": 2, "hidden_subgroup_generators": [[2.5, 3]]}'),
+        (["hsp", "solve"], b'{"m": 2.0, "n": 1, "hidden_subgroup_generators": [[1]]}'),
+        (["hsp", "solve"], b'{"m": 4, "n": 1, "hidden_subgroup_generators": [[true]]}'),
+        (["hsp", "solve"], b'{"m": 4, "k": true, "n": 1, "hidden_subgroup_generators": [[1]]}'),
+    ],
+    ids=["instance-not-utf8", "matrix-not-utf8", "instance-overflow", "matrix-overflow",
+         "matrix-rows-float", "matrix-entry-float", "generator-float", "m-float",
+         "generator-bool", "k-bool"],
+)
+def test_non_integer_input_exits_two(tmp_path, capsys, argv, content):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    assert main([*argv, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_assert_exact_requires_exact_backend(tmp_path, capsys):
     inst = write(
         tmp_path,

@@ -1,5 +1,5 @@
-"""A pinned SHA-256 over reduced solves, so that reduced-round traces cannot
-move silently.
+"""Pinned SHA-256 digests over reduced and dense solves, so that round traces
+cannot move silently.
 
 The digest covers, per solve: the recovered HNF, the trace, `QueryStats`
 (which holds the oracle query counters), the RNG state after the solve and
@@ -7,6 +7,14 @@ every `round_reduced` capture payload (exact amplitudes as coefficient tuples,
 float amplitudes by `repr`).  The solves are reduced solves of coset oracles
 on a fixed sample of acceptance-grid cells, exponents 1 and 2, in
 deterministic mode and with seeds 1 and 77, on the exact and float backends.
+
+A second digest covers dense solves, which run the full round circuit (QFT,
+reflection, measurement) that reduced solves never reach: per solve the HNF,
+the trace, `QueryStats`, the RNG state and the `dump()` of every `round_state`
+capture (exact amplitudes as coefficient lists, float amplitudes by `repr`),
+over every subgroup of a few small cells at exponent 1, in the same modes and
+on both backends.
+
 A change that alters any of these on purpose must say so and re-pin.
 """
 
@@ -24,6 +32,8 @@ CELLS = [(4, 1, 2), (6, 1, 2), (12, 1, 2), (6, 1, 3), (8, 1, 3), (9, 1, 3), (10,
 PER_CELL = 5
 MODES = (("deterministic", None), ("seeded", 1), ("seeded", 77))
 PINNED = "8ea916e0cfe228ae5908058d9878327c1e16b926b304aea8d265db57d85b1c91"
+DENSE_CELLS = [(4, 2), (3, 2), (2, 3), (5, 2), (2, 2), (6, 1), (12, 1)]
+DENSE_PINNED = "94785f9ffaa501231810da0b14f7c4f9b4139a8fe28c9fd3325d7bb581f177f2"
 
 
 class _RecordingRandom:
@@ -92,3 +102,38 @@ def test_reduced_solves_match_the_pinned_digest():
     got, count = reduced_solve_digest()
     assert count == len(CELLS) * PER_CELL * 2 * len(MODES)
     assert got == PINNED
+
+
+def _dense_solve_record(m, n, rows, backend, mode, seed):
+    rep = SubgroupRep(m, 1, n, IntMatrix.from_rows(rows))
+    dumps = []
+
+    def capture(event, payload):
+        assert event == "round_state"
+        dumps.append((payload["probe"], payload["j"], payload["state"].dump()))
+
+    rng = random.Random(seed) if mode == "seeded" else None
+    res = solve_hsp_zmn(build_coset_oracle(rep), mode=mode, rng=rng, backend=backend,
+                        method="dense", capture=capture)
+    assert res.subgroup.hnf.data == rows
+    return (m, n, rows, backend, mode, seed, res.subgroup.hnf.data,
+            [t.to_dict() for t in res.trace], res.stats.to_dict(),
+            rng.getstate() if rng is not None else None, dumps)
+
+
+def dense_solve_digest() -> tuple[str, int]:
+    digest, count = hashlib.sha256(), 0
+    for m, n in DENSE_CELLS:
+        for rows in enumerate_subgroup_hnfs(m, n):
+            for backend in ("exact", "float"):
+                for mode, seed in MODES:
+                    record = _dense_solve_record(m, n, rows, backend, mode, seed)
+                    digest.update(repr(record).encode())
+                    count += 1
+    return digest.hexdigest(), count
+
+
+def test_dense_solves_match_the_pinned_digest():
+    got, count = dense_solve_digest()
+    assert count == 60 * 2 * len(MODES)
+    assert got == DENSE_PINNED
