@@ -26,6 +26,7 @@ from .lattice import (
     hermite_normal_form,
     matrix_from_json,
     matrix_to_json,
+    parse_integer,
     parse_matrix_text,
     perp_subgroup,
     smith_normal_form,
@@ -377,11 +378,19 @@ def _config(args) -> RunConfig:
     return cfg
 
 
+def _int_arg(text: str) -> int:
+    """Integer arguments take the check text matrices use."""
+    try:
+        return parse_integer(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="hspsim")
     p.add_argument("--backend", choices=["exact", "float"], default="exact")
     p.add_argument("--mode", choices=["seeded", "deterministic"], default="seeded")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("-o", "--output", default=None, help="write the JSON report here")
     p.add_argument("-v", "--verbose", action="store_true")
     sub = p.add_subparsers(dest="command", required=True)
@@ -396,12 +405,12 @@ def build_parser() -> argparse.ArgumentParser:
     lat = sub.add_parser("lattice", help="integer-lattice utilities")
     lat.add_argument("op", choices=["hnf", "snf", "perp"])
     lat.add_argument("matrix", help="matrix file (text or JSON)")
-    lat.add_argument("-m", type=int, default=None, help="modulus for perp")
+    lat.add_argument("-m", type=_int_arg, default=None, help="modulus for perp")
     lat.set_defaults(func=_cmd_lattice)
 
     gc = sub.add_parser("gcd-combine", help="gcd-preserving combination")
-    gc.add_argument("values", type=int, nargs="+")
-    gc.add_argument("-m", type=int, required=True)
+    gc.add_argument("values", type=_int_arg, nargs="+")
+    gc.add_argument("-m", type=_int_arg, required=True)
     gc.set_defaults(func=_cmd_gcd_combine)
 
     grp = sub.add_parser("group", help="black-box group structure")

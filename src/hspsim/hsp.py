@@ -46,12 +46,17 @@ cosets are orthogonal.  An oracle off that promise keeps its hidden subgroup
 unknown and runs the dense round, which stays the reference every reduced
 path is checked against.
 
-The Fourier-sampled state (QFT, f, QFT from |0>) depends only on the oracle
-and the amplitude backend, so the dense round computes it once per oracle and
-backend; each (probe, j) pass applies only the helper Hadamard, the flag
-write, the phase and the reflection about the prepared state it already
-holds.  Running a circuit records no query: `Circuit.count` is the one
-accounting path.  Every (probe, j) pass makes the same queries, so both
+The Fourier-sampled state Phi (QFT, f, QFT from |0>) depends only on the
+oracle and the amplitude backend, so the dense round computes it once per
+oracle and backend.  A pass is prep, phase i on flagged labels, and the
+reflection I + (i - 1)|Psi><Psi| about Psi = prep|0>, so a label whose Psi
+amplitude is a and whose flag is f ends with a * A_f, where
+A_f = phase(f) * N_Psi + (i - 1)<Psi|phase Psi>, the identity the reduced
+round also uses.  Each (probe, j) pass is therefore one sweep over Phi, with
+the steps' arithmetic in the steps' order; the Hadamard, phase and
+reflection steps run only in the literal pass the tests compare it with.
+Running a circuit records no query: `Circuit.count` is the one accounting
+path.  Every (probe, j) pass makes the same queries, so both
 rounds record theirs with `HidingOracle.record_passes`, which scales a tally
 of one pass circuit walked once per n.
 """
@@ -83,12 +88,11 @@ from .state import (
     Circuit,
     ClassicalStep,
     HadamardStep,
-    PhaseStep,
     PrepStep,
     QftStep,
-    ReflectStep,
     Register,
     RegisterLayout,
+    SimulationError,
     SparseState,
     Step,
     _check_support,
@@ -556,19 +560,81 @@ def _flag_is_set(lbl) -> bool:
     return lbl[-1] == 1
 
 
+def _round_terms(oracle: HidingOracle, probe, phi: SparseState) -> list[tuple]:
+    """The part of every pass of a round that depends only on the probe: for
+    each label (x, v, 0, 0) of the sampled state Phi, in Phi's order, the
+    tuple (x, v), its amplitude a, the backend's memo_key of a and the pairing
+    probe . x mod m.  Amplitudes that are zero at Psi's scale 2 * N_Phi are
+    left out, as the helper Hadamard's pruning leaves them out."""
+    m = oracle.m
+    backend = phi.backend
+    npsi = 2 * phi.scale
+    key = backend.memo_key
+    # a label starts with the x registers and ends with the two helpers
+    return [
+        (lbl[:-2], a, key(a), sum(map(mul, probe, lbl)) % m)
+        for lbl, a in phi.amps.items()
+        if not backend.is_zero(a, npsi)
+    ]
+
+
 def amplified_round_state(oracle: HidingOracle, probe, j: int, backend) -> SparseState:
     """Post-amplification state of one (probe, j) pass, built densely.
 
     The pass is amplitude_amplify(round_prep_circuit(...)) run from |0>: prep,
-    phase i on flagged labels, reflection about prep|0>.  prep|0> is the
-    oracle's sampled state with the flag circuit applied, so neither the pass
-    nor the reflection runs the sampling circuit.  No query is recorded here:
-    the round records its passes with `HidingOracle.record_passes`."""
-    flag = flag_circuit(oracle, probe, j)
-    prep = Circuit.of(sampling_circuit(oracle), flag)
-    psi = flag.run(oracle.sampled_state(backend))
-    amplify = Circuit.of(PhaseStep(_flag_is_set, 1, "good"), ReflectStep(prep, 1, psi=psi))
-    return amplify.run(psi)
+    phase i on flagged labels, reflection about Psi = prep|0>.  Psi is the
+    oracle's sampled state Phi with the helper Hadamard and the flag write
+    applied, so neither the pass nor the reflection runs the sampling circuit.
+    The reflection is I + (i - 1)|Psi><Psi|, so a label whose Psi amplitude is
+    a and whose flag is f ends with amplitude a * A_f, where
+    A_f = phase(f) * N_Psi + (i - 1)<Psi|phase Psi>: the pass is one sweep
+    over Phi (`_amplified_pass`).  No query is recorded here: the round
+    records its passes with `HidingOracle.record_passes`."""
+    phi = oracle.sampled_state(backend)
+    return _amplified_pass(phi, _round_terms(oracle, probe, phi), oracle.m, j)
+
+
+def _amplified_pass(phi: SparseState, terms, m: int, j: int) -> SparseState:
+    """One pass from the sampled state Phi and its round terms, with the
+    arithmetic of the Hadamard, phase and reflection steps in their order, so
+    that float amplitudes keep their bits.  Each term (x, v) with amplitude a
+    and pairing p gives the Psi labels (x, v, b, round_flag(m, j, p, b)),
+    b = 0 then 1, with amplitude a; s is a * i on flag 1 and a on flag 0;
+    z = <Psi|s>; and a label's value s * N_Psi + (i - 1) * z * a, at scale
+    N_Psi^3, is computed and tested for zero once per distinct (a, flag),
+    keyed by the backend's memo_key."""
+    backend = phi.backend
+    npsi = 2 * phi.scale
+    ph = backend.root(backend.root_order // 4)
+    flags: dict = {}  # pairing -> (flag at b = 0, flag at b = 1)
+    reps: tuple[dict, dict] = ({}, {})  # per flag: key(a) -> (a, s)
+    rows = []  # (Psi label, key(a), flag) in Psi's order
+    pairs = []  # (a, s) in Psi's order
+    for xv, a, k, p in terms:
+        fs = flags.get(p)
+        if fs is None:
+            fs = flags[p] = (round_flag(m, j, p, 0), round_flag(m, j, p, 1))
+        for b, f in enumerate(fs):
+            rep = reps[f]
+            pair = rep.get(k)
+            if pair is None:
+                pair = rep[k] = (a, a * ph) if f else (a, a)
+            pairs.append(pair)
+            rows.append((xv + (b, f), k, f))
+    coef = (ph - backend.one) * backend.conj_dot(pairs)
+    scale = npsi * npsi * npsi
+    values = []  # per flag: key(a) -> the nonzero value s * N_Psi + coef * a
+    for rep in reps:
+        nonzero = {}
+        for k, (a, s) in rep.items():
+            val = s * npsi + coef * a
+            if not backend.is_zero(val, scale):
+                nonzero[k] = val
+        values.append(nonzero)
+    new = {lbl: values[f][k] for lbl, k, f in rows if k in values[f]}
+    if not new:
+        raise SimulationError("all amplitudes vanished (not a unitary step?)")
+    return SparseState(phi.layout, backend, scale, new)
 
 
 def _dense_round(oracle, probe, js, mode, rng, backend, stats, capture):
@@ -577,8 +643,10 @@ def _dense_round(oracle, probe, js, mode, rng, backend, stats, capture):
     oracle.record_passes(stats, len(js))
     trace = RoundTrace(probe=tuple(probe))
     found = []
+    phi = oracle.sampled_state(backend)
+    terms = _round_terms(oracle, probe, phi)
     for j in js:
-        state = amplified_round_state(oracle, probe, j, backend)
+        state = _amplified_pass(phi, terms, oracle.m, j)
         stats.j_probes += 1
         if capture is not None:
             capture("round_state", {"probe": tuple(probe), "j": j, "state": state})

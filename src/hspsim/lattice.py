@@ -12,6 +12,7 @@ All entries are Python ints, so nothing here ever rounds.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product as _cartesian
@@ -130,6 +131,17 @@ class IntMatrix:
 # Matrix text / JSON formats
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_integer(token: str) -> int:
+    """A decimal integer in ASCII: an optional sign, then digits.  int() alone
+    would also accept underscores, surrounding blanks and non-ASCII digits."""
+    if not _INTEGER.fullmatch(token):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
+
+
 def parse_matrix_text(text: str) -> IntMatrix:
     """First line "rows cols", then rows of space-separated integers."""
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
@@ -138,12 +150,12 @@ def parse_matrix_text(text: str) -> IntMatrix:
     head = lines[0].split()
     if len(head) != 2:
         raise ValueError("matrix header must be 'rows cols'")
-    rows, cols = int(head[0]), int(head[1])
+    rows, cols = parse_integer(head[0]), parse_integer(head[1])
     if len(lines) != rows + 1:
         raise ValueError(f"expected {rows} data rows, found {len(lines) - 1}")
     data = []
     for ln in lines[1:]:
-        row = [int(tok) for tok in ln.split()]
+        row = [parse_integer(tok) for tok in ln.split()]
         if len(row) != cols:
             raise ValueError("row width mismatch")
         data.append(row)

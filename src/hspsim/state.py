@@ -29,6 +29,10 @@ from operator import attrgetter
 from .cyclotomic import CycloField, Cyclotomic
 
 SUPPORT_LIMIT = 1 << 20
+# The exact backend's field keeps a power table of order * phi(order)
+# coefficients, at most 4096 * 2048 since every root order here is a
+# multiple of 4; m = 1009 (root order 4036) still fits.
+ROOT_ORDER_LIMIT = 4096
 
 
 class SimulationError(Exception):
@@ -48,8 +52,8 @@ class MeasurementNotDetermined(SimulationError):
 
 
 class ResourceLimitError(SimulationError):
-    """A state or table would exceed the simulator's support limit; the
-    instance itself may keep every promise."""
+    """A state or table would exceed the simulator's support limit, or a
+    field its root-order limit; the instance itself may keep every promise."""
 
 
 def _check_support(count: int) -> None:
@@ -82,6 +86,10 @@ class ExactBackend:
     def __init__(self, root_order: int):
         if root_order % 4:
             raise ValueError("root order must be divisible by 4 (the imaginary unit must exist)")
+        if root_order > ROOT_ORDER_LIMIT:
+            raise ResourceLimitError(
+                f"field root order {root_order} exceeds the hard limit {ROOT_ORDER_LIMIT}"
+            )
         self.root_order = root_order
         self.field = CycloField(root_order)
         self.one = self.field.one
@@ -158,23 +166,28 @@ class ExactBackend:
         output amplitudes, y = 0..d-1.  Each output is accumulated as raw
         coefficients over powers of w, each input coefficient shifted by its
         exponent, and canonicalized once; canonical residues are unique, so it
-        equals the per-term fold.  Nonzero coefficients are listed once per
-        distinct amplitude across all fibers of one transform."""
+        equals the per-term fold.  Within one transform, nonzero coefficients
+        are listed once per distinct amplitude, and each distinct fiber (its
+        tuple of (x, coefficients) terms) is transformed once."""
         M = self.root_order
         # i + offs[t] lies in [-M, M): a negative index wraps to the same power
         offs = [(step * t) % M - M for t in range(d)]
         from_raw = self.field.from_raw
         nonzero: dict = {}  # coefficient tuple -> its nonzero (power, coefficient)s
+        done: dict = {}  # fiber terms -> its d outputs
 
         def fiber(terms):
+            terms = tuple((x, amp.coeffs) for x, amp in terms)
+            out = done.get(terms)
+            if out is not None:
+                return out
             listed = []
-            for x, amp in terms:
-                c = amp.coeffs
+            for x, c in terms:
                 nz = nonzero.get(c)
                 if nz is None:
                     nz = nonzero[c] = [(i, v) for i, v in enumerate(c) if v]
                 listed.append((x, nz))
-            out = []
+            out = done[terms] = []
             for y in range(d):
                 raw = [0] * M
                 for x, nz in listed:

@@ -268,10 +268,16 @@ def test_malformed_group_exits_two(tmp_path, capsys, group):
         (["hsp", "solve"], b'{"m": 2.0, "n": 1, "hidden_subgroup_generators": [[1]]}'),
         (["hsp", "solve"], b'{"m": 4, "n": 1, "hidden_subgroup_generators": [[true]]}'),
         (["hsp", "solve"], b'{"m": 4, "k": true, "n": 1, "hidden_subgroup_generators": [[1]]}'),
+        (["lattice", "hnf"], b"1 1\n1_0\n"),
+        (["lattice", "hnf"], "1 1\n\u0661\u0662\n".encode()),
+        (["lattice", "hnf"], b"1_0 1\n5\n"),
+        (["lattice", "hnf"], "1 \uff11\n5\n".encode()),
+        (["lattice", "hnf"], b"1 1\n+-3\n"),
     ],
     ids=["instance-not-utf8", "matrix-not-utf8", "instance-overflow", "matrix-overflow",
          "matrix-rows-float", "matrix-entry-float", "generator-float", "m-float",
-         "generator-bool", "k-bool"],
+         "generator-bool", "k-bool", "text-entry-underscore", "text-entry-arabic-indic",
+         "text-header-underscore", "text-header-fullwidth", "text-entry-two-signs"],
 )
 def test_non_integer_input_exits_two(tmp_path, capsys, argv, content):
     path = tmp_path / "input"
@@ -280,6 +286,58 @@ def test_non_integer_input_exits_two(tmp_path, capsys, argv, content):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--seed", "1_0", "gcd-combine", "6", "10", "-m", "12"],
+        ["gcd-combine", "6", "1_0", "-m", "12"],
+        ["gcd-combine", "6", "10", "-m", "1_2"],
+        ["gcd-combine", "6", "\u0661\u0660", "-m", "12"],
+        ["gcd-combine", "6", "10", "-m", " 12"],
+        ["lattice", "perp", "MATRIX", "-m", "\u0666"],
+    ],
+    ids=["seed-underscore", "value-underscore", "m-underscore", "value-arabic-indic",
+         "m-blank", "perp-m-arabic-indic"],
+)
+def test_integer_arguments_are_ascii_integers(tmp_path, capsys, argv):
+    matrix = write(tmp_path, "m.txt", "2 2\n2 0\n0 3\n")
+    assert main([matrix if a == "MATRIX" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not an integer" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_signed_integer_arguments_still_parse(capsys):
+    code, report = run_cli(capsys, "--seed", "+3", "gcd-combine", "6", "-4", "-m", "+12")
+    assert code == 0
+    assert report["m"] == 12
+    assert report["values"] == [6, 8]
+
+
+def test_field_above_the_root_order_limit_is_a_resource_limit(tmp_path, capsys):
+    # m = 10^9 + 7 asks for a field of root order 4m; it is refused before
+    # the cyclotomic polynomial is built
+    inst = write(tmp_path, "inst.json",
+                 {"m": 10**9 + 7, "n": 1, "hidden_subgroup_generators": []})
+    code = main(["hsp", "solve", inst])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"resource limit: field root order {4 * (10**9 + 7)} exceeds the hard limit "
+        f"{state_module.ROOT_ORDER_LIMIT}"
+    )
+
+
+def test_root_order_limit_admits_m_1009():
+    # m = 1009 needs root order 4036; its field takes about 0.7 s and 60 MB
+    # to build, so it is not built here
+    from hspsim.hsp import _root_order
+
+    assert _root_order(1009) == 4036 <= state_module.ROOT_ORDER_LIMIT
 
 
 def test_assert_exact_requires_exact_backend(tmp_path, capsys):

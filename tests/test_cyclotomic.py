@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hspsim.cyclotomic import CycloField, cyclotomic_normalize, cyclotomic_polynomial
+from hspsim.cyclotomic import CycloField, Cyclotomic, cyclotomic_normalize, cyclotomic_polynomial
 
 KNOWN_POLYS = {
     1: (-1, 1),
@@ -174,3 +174,70 @@ def test_conj_dot_equals_the_naive_fold(case):
     assert fld.conj_dot((a, a) for a, _ in pairs).coeffs == sum(
         (a.norm2() for a, _ in pairs), fld.zero
     ).coeffs
+
+
+# Field axioms beyond the fixed sweeps.  The QFT's fiber memo and the dense
+# pass's per-value memo both key on coefficient tuples, so they rely on
+# canonical forms being unique: equal elements must come out of every
+# operation with equal tuples.
+
+ORDERS = [4, 12, 20, 24, 36]
+
+
+@st.composite
+def field_elements(draw, count=3):
+    """A field of root order 4, 12, 20, 24 or 36 and `count` of its elements,
+    each a canonical coefficient tuple (any tuple of length phi(M) is one)."""
+    fld = CycloField(draw(st.sampled_from(ORDERS)))
+    coeffs = st.lists(st.integers(-20, 20), min_size=fld.degree, max_size=fld.degree)
+    return fld, [Cyclotomic(fld, tuple(draw(coeffs))) for _ in range(count)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(field_elements())
+def test_field_ring_axioms(case):
+    fld, (a, b, c) = case
+    assert ((a + b) + c).coeffs == (a + (b + c)).coeffs
+    assert (a + b).coeffs == (b + a).coeffs
+    assert (a + fld.zero).coeffs == a.coeffs
+    assert (a + (-a)).coeffs == fld.zero.coeffs
+    assert (a - b).coeffs == (a + (-b)).coeffs
+    assert ((a * b) * c).coeffs == (a * (b * c)).coeffs
+    assert (a * b).coeffs == (b * a).coeffs
+    assert (a * fld.one).coeffs == a.coeffs
+    assert (a * (b + c)).coeffs == (a * b + a * c).coeffs
+
+
+@settings(max_examples=80, deadline=None)
+@given(field_elements(count=2))
+def test_conjugation_is_an_involutive_automorphism(case):
+    fld, (a, b) = case
+    conj = Cyclotomic.conjugate
+    assert conj(conj(a)).coeffs == a.coeffs
+    assert conj(a + b).coeffs == (conj(a) + conj(b)).coeffs
+    assert conj(a * b).coeffs == (conj(a) * conj(b)).coeffs
+    assert conj(fld.one).coeffs == fld.one.coeffs
+    for e in (1, fld.order // 4, fld.order - 1):
+        assert conj(fld.root(e)).coeffs == fld.root(-e).coeffs
+
+
+@settings(max_examples=80, deadline=None)
+@given(field_elements(count=1))
+def test_norm2_is_the_product_with_the_conjugate(case):
+    _, (a,) = case
+    n2 = a.norm2()
+    assert n2.coeffs == (a * a.conjugate()).coeffs
+    assert n2.conjugate().coeffs == n2.coeffs
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(ORDERS).flatmap(
+    lambda order: st.tuples(st.just(order), st.lists(st.integers(-20, 20), max_size=2 * order))
+))
+def test_from_raw_equals_the_fold_of_powers(case):
+    order, raw = case
+    fld = CycloField(order)
+    fold = fld.zero
+    for e, c in enumerate(raw):
+        fold = fold + fld.root(e) * c
+    assert fld.from_raw(raw).coeffs == fold.coeffs

@@ -428,6 +428,37 @@ def test_dense_solve_runs_the_sampling_transforms_once(monkeypatch):
     assert calls == ["x0", "x1", "x0", "x1"]
 
 
+def test_dense_passes_run_none_of_the_pass_steps(monkeypatch):
+    # a dense pass is one sweep over the sampled state: the helper Hadamard,
+    # the phase step and the reflection run only in the literal pass
+    calls = []
+
+    def spy(name, real):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(state_module, "apply_hadamard",
+                        spy("hadamard", state_module.apply_hadamard))
+    monkeypatch.setattr(state_module, "conditional_phase_i",
+                        spy("phase", state_module.conditional_phase_i))
+    monkeypatch.setattr(state_module.ReflectStep, "apply",
+                        spy("reflect", state_module.ReflectStep.apply))
+    m, n = 6, 2
+    rep = subgroup_from_generators([(2, 3)], m, 1, n)
+    for backend in ("exact", "float"):
+        res = solve_hsp_zmn(build_coset_oracle(rep), mode="deterministic",
+                            backend=backend, method="dense")
+        assert res.subgroup.hnf == rep.hnf
+        assert res.stats.j_probes > 1
+    assert calls == []
+    literal_round_state(build_coset_oracle(rep), (1, 0), 0,
+                        make_backend("exact", _root_order(m)), QueryStats())
+    assert set(calls) == {"hadamard", "phase", "reflect"}
+
+
 def test_dense_and_reduced_rounds_agree(rng):
     cases = [
         ((6, 2), [(2, 3)]),

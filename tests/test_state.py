@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from hspsim.cyclotomic import CycloField
 from hspsim.state import (
     Circuit,
     ClassicalStep,
@@ -635,12 +636,59 @@ def naive_qft(state, register, inverse):
     return scale, _pruned(backend, new, scale)
 
 
+@hst.composite
+def repeated_fiber_states(draw):
+    """A case shaped like repeated_amplitude_states' whose state copies one
+    fiber of register a (amplitudes c * w^e over a = 0..3) to two or more
+    values of register b, so that transforming a meets equal fibers, and adds
+    at most one other label."""
+    order = draw(hst.sampled_from([4, 12, 20, 24]))
+    backend = make_backend("exact", order)
+    value = hst.builds(
+        lambda c, e: backend.root(e) * c,
+        hst.integers(-3, 3).filter(bool),
+        hst.integers(0, order - 1),
+    )
+    fiber = draw(hst.dictionaries(hst.integers(0, 3), value, min_size=1))
+    copies = draw(hst.lists(hst.integers(0, 3), min_size=2, unique=True))
+    amps = {(a, b): amp for b in copies for a, amp in fiber.items()}
+    extra = draw(hst.sampled_from(list(itertools.product(range(4), repeat=2))))
+    amps.setdefault(extra, draw(value))
+    state = SparseState(digit_layout(4, "a", "b"), backend, naive_mass(backend, amps.values()), amps)
+    return backend, state, state, 1
+
+
 @settings(max_examples=80, deadline=None)
-@given(repeated_amplitude_states(), hst.sampled_from(["a", "b"]), hst.booleans())
+@given(
+    hst.one_of(repeated_amplitude_states(), repeated_fiber_states()),
+    hst.sampled_from(["a", "b"]),
+    hst.booleans(),
+)
 def test_batched_qft_equals_the_per_term_fold(case, register, inverse):
     _, _, state, _ = case
     scale, expected = naive_qft(state, register, inverse)
     out = apply_qft(state, register, inverse=inverse)
+    assert out.scale == scale
+    assert [(lbl, a.coeffs) for lbl, a in out.amps.items()] == [
+        (lbl, a.coeffs) for lbl, a in expected.items()
+    ]
+
+
+def test_qft_transforms_each_distinct_fiber_once(monkeypatch):
+    # fibers of register a at b = 0, 1, 2 are equal, the one at b = 3 is not:
+    # two distinct fibers, each canonicalized once per output label
+    backend = make_backend("exact", 12)
+    w = backend.root
+    fiber = {0: w(1), 1: w(4) * 2, 3: -w(0)}
+    amps = {(a, b): amp for b in range(3) for a, amp in fiber.items()}
+    amps[(2, 3)] = w(7)
+    state = SparseState(digit_layout(4, "a", "b"), backend, naive_mass(backend, amps.values()), amps)
+    scale, expected = naive_qft(state, "a", False)
+    calls = []
+    real = CycloField.from_raw
+    monkeypatch.setattr(CycloField, "from_raw", lambda self, raw: calls.append(1) or real(self, raw))
+    out = apply_qft(state, "a")
+    assert len(calls) == 2 * 4
     assert out.scale == scale
     assert [(lbl, a.coeffs) for lbl, a in out.amps.items()] == [
         (lbl, a.coeffs) for lbl, a in expected.items()
