@@ -52,9 +52,13 @@ oracle and backend.  A pass is prep, phase i on flagged labels, and the
 reflection I + (i - 1)|Psi><Psi| about Psi = prep|0>, so a label whose Psi
 amplitude is a and whose flag is f ends with a * A_f, where
 A_f = phase(f) * N_Psi + (i - 1)<Psi|phase Psi>, the identity the reduced
-round also uses.  Each (probe, j) pass is therefore one sweep over Phi, with
-the steps' arithmetic in the steps' order; the Hadamard, phase and
-reflection steps run only in the literal pass the tests compare it with.
+round also uses.  The flag depends on x only through its pairing with the
+probe, so each round tallies Phi into (pairing, amplitude) classes, and each
+(probe, j) pass computes its values once per distinct (amplitude, flag), with
+the steps' arithmetic in the steps' order, and is measured from sums over
+those classes; the post-pass state is built only for a capture hook or a
+caller that asks for it.  The Hadamard, phase and reflection steps run only
+in the literal pass the tests compare it with.
 Running a circuit records no query: `Circuit.count` is the one accounting
 path.  Every (probe, j) pass makes the same queries, so both
 rounds record theirs with `HidingOracle.record_passes`, which scales a tally
@@ -65,6 +69,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass, field
+from fractions import Fraction
 from itertools import product as _cartesian
 from operator import mul
 
@@ -92,6 +97,7 @@ from .state import (
     QftStep,
     Register,
     RegisterLayout,
+    ResourceLimitError,
     SimulationError,
     SparseState,
     Step,
@@ -100,19 +106,44 @@ from .state import (
     apply_classical_map,
     inner_product_unscaled,
     make_backend,
-    measure_registers,
     prepare_zero,
 )
 
 
+# The first 13 primes.  Miller-Rabin to all of them as bases is exact below
+# psi_13 = 3317044064679887385961981 (Sorenson & Webster, 2015); the first 12
+# alone are exact only below psi_12 = 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality test: division by the small primes of _MR_BASES, then
+    deterministic Miller-Rabin to each of them as a base.  A number above
+    the test's exact range without a small factor is a resource limit."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= _MR_EXACT_BELOW:
+        raise ResourceLimitError(
+            f"primality of {n} is decided exactly only below {_MR_EXACT_BELOW}"
+        )
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -233,6 +264,7 @@ class HidingOracle:
         self._scanned = False
         self._complement = None
         self._sampled: dict = {}
+        self._tallies: dict = {}
         if label_fn is not None:
             dims = [r.dim for r in self.value_registers]
 
@@ -378,6 +410,29 @@ class HidingOracle:
             phi = sampling_circuit(self).run(prepare_zero(layout, backend))
             self._sampled[key] = phi
         return phi
+
+    def sampled_tally(self, backend) -> tuple[list, dict]:
+        """The sampled state's labels (x, v, 0, 0) that are nonzero at Psi's
+        scale 2 * N_Phi, grouped by their x tuple and amplitude: a list of
+        ((x, key), count) entries from `backend.tally`, key the backend's
+        memo_key, and a dict from each key to its amplitude.  Computed once
+        per backend beside the sampled state, so it is freed with the
+        oracle."""
+        key = (backend.name, backend.root_order)
+        out = self._tallies.get(key)
+        if out is None:
+            phi = self.sampled_state(backend)
+            npsi = 2 * phi.scale
+            memo_key, n = backend.memo_key, self.n
+            amp = {}
+            items = []
+            for lbl, a in phi.amps.items():
+                if not backend.is_zero(a, npsi):
+                    k = memo_key(a)
+                    amp[k] = a
+                    items.append(((lbl[:n], k), 1))
+            out = self._tallies[key] = (backend.tally(items), amp)
+        return out
 
     def record_passes(self, stats: "QueryStats", passes: int) -> None:
         """Record the queries of `passes` amplification passes of a round in
@@ -560,22 +615,136 @@ def _flag_is_set(lbl) -> bool:
     return lbl[-1] == 1
 
 
-def _round_terms(oracle: HidingOracle, probe, phi: SparseState) -> list[tuple]:
-    """The part of every pass of a round that depends only on the probe: for
-    each label (x, v, 0, 0) of the sampled state Phi, in Phi's order, the
-    tuple (x, v), its amplitude a, the backend's memo_key of a and the pairing
-    probe . x mod m.  Amplitudes that are zero at Psi's scale 2 * N_Phi are
-    left out, as the helper Hadamard's pruning leaves them out."""
-    m = oracle.m
-    backend = phi.backend
-    npsi = 2 * phi.scale
-    key = backend.memo_key
-    # a label starts with the x registers and ends with the two helpers
-    return [
-        (lbl[:-2], a, key(a), sum(map(mul, probe, lbl)) % m)
-        for lbl, a in phi.amps.items()
-        if not backend.is_zero(a, npsi)
-    ]
+class _DensePasses:
+    """The (probe, j) passes of one dense round, computed on classes of the
+    sampled state Phi rather than on its labels (the A_f identity of the
+    module docstring).  The flag depends on x only through the pairing
+    p = probe . x mod m, so the round tallies Phi's (x, amplitude) entries
+    (`HidingOracle.sampled_tally`) into (pairing, amplitude) classes, with
+    the pairing computed once per distinct x.  A pass computes
+    <Psi|phase Psi> from the class counts, then each label's value
+    s * N_Psi + (i - 1) * <Psi|phase Psi> * a, at scale N_Psi^3, once per
+    distinct (amplitude, flag), with s = a * i on flag 1 and a on flag 0:
+    the steps' arithmetic in their order, so that float amplitudes keep
+    their bits, and the float backend's tally keeps its entries in label
+    order, so that float sums do too."""
+
+    def __init__(self, oracle: HidingOracle, probe, backend):
+        m = oracle.m
+        tally, self.amp = oracle.sampled_tally(backend)
+        self.oracle, self.backend, self.m = oracle, backend, m
+        self.npsi = 2 * oracle.sampled_state(backend).scale
+        self.ph = backend.root(backend.root_order // 4)
+        self.pairing: dict = {}
+        self.entries = []  # (x, key, count, pairing)
+        for (x, k), c in tally:
+            p = self.pairing.get(x)
+            if p is None:
+                p = self.pairing[x] = sum(map(mul, probe, x)) % m
+            self.entries.append((x, k, c, p))
+        self.classes = backend.tally(((p, k), c) for _x, k, c, p in self.entries)
+        # per flag: key -> ((a, s), s * N_Psi), the same in every pass
+        self.terms: tuple[dict, dict] = ({}, {})
+
+    def values(self, j: int) -> tuple[dict, list[dict]]:
+        """The pass at index j: the flags (at b = 0, at b = 1) of each
+        pairing, and per flag a dict from amplitude key to the label value
+        and its abs2, nonzero values only."""
+        backend, m, npsi, ph = self.backend, self.m, self.npsi, self.ph
+        flags: dict = {}
+        reps: tuple[dict, dict] = ({}, {})  # per flag: this pass's terms
+        counted = []  # ((a, s), count) per class and helper bit, in Psi's order
+        for (p, k), c in self.classes:
+            fs = flags.get(p)
+            if fs is None:
+                fs = flags[p] = (round_flag(m, j, p, 0), round_flag(m, j, p, 1))
+            for f in fs:
+                term = reps[f].get(k)
+                if term is None:
+                    term = self.terms[f].get(k)
+                    if term is None:
+                        a = self.amp[k]
+                        s = a * ph if f else a
+                        term = self.terms[f][k] = ((a, s), s * npsi)
+                    reps[f][k] = term
+                counted.append((term[0], c))
+        coef = (ph - backend.one) * backend.conj_dot_counted(counted)
+        scale = npsi * npsi * npsi
+        products: dict = {}  # key -> coef * a, shared by both flags
+        values = []
+        for rep in reps:
+            nonzero = {}
+            for k, ((a, _s), sn) in rep.items():
+                ca = products.get(k)
+                if ca is None:
+                    ca = products[k] = coef * a
+                val = sn + ca
+                if not backend.is_zero(val, scale):
+                    nonzero[k] = (val, backend.abs2(val))
+            values.append(nonzero)
+        if not (values[0] or values[1]):
+            raise SimulationError("all amplitudes vanished (not a unitary step?)")
+        return flags, values
+
+    def state(self, flags: dict, values: list[dict]) -> SparseState:
+        """The pass's post-amplification state, materialized in Psi's order:
+        each label (x, v, 0, 0) of Phi gives (x, v, b, flag), b = 0 then 1."""
+        backend, n, npsi = self.backend, self.oracle.n, self.npsi
+        phi = self.oracle.sampled_state(backend)
+        key = backend.memo_key
+        new = {}
+        for lbl, a in phi.amps.items():
+            if backend.is_zero(a, npsi):
+                continue
+            k = key(a)
+            for b, f in enumerate(flags[self.pairing[lbl[:n]]]):
+                vw = values[f].get(k)
+                if vw is not None:
+                    new[lbl[:-2] + (b, f)] = vw[0]
+        return SparseState(phi.layout, backend, npsi * npsi * npsi, new)
+
+    def measure(self, flags: dict, values: list[dict], mode: str, rng) -> tuple:
+        """The x registers measured one at a time, as `measure_registers` would
+        measure `state()`, on rows (x, abs2 of the value, count), one per
+        class entry and helper bit with a nonzero value, in Psi's order.  Per
+        register the rows are grouped by that register's value and each
+        group's mass is the backend's total of its rows: the least value when
+        deterministic, `backend.draw` over the sorted values when seeded.
+        The picked group's rows go on to the next register.  The exact mass
+        faults when irrational, and an exact rational mass rescales the rows
+        by its squared denominator, as the collapse rescales the state."""
+        if mode == "seeded" and rng is None:
+            raise ValueError("seeded measurement needs an rng")
+        if mode not in ("seeded", "deterministic"):
+            raise ValueError(f"unknown measurement mode {mode!r}")
+        backend = self.backend
+        rows = []
+        for x, k, c, p in self.entries:
+            for f in flags[p]:
+                vw = values[f].get(k)
+                if vw is not None:
+                    rows.append((x, vw[1], c))
+        outcome = []
+        for r in range(self.oracle.n):
+            groups: dict = {}
+            for row in rows:
+                groups.setdefault(row[0][r], []).append(row)
+            if mode == "deterministic":
+                v = min(groups)
+                mass = backend.mass_total((w, c) for _x, w, c in groups[v])
+            else:
+                vs = sorted(groups)
+                masses = [
+                    backend.mass_total((w, c) for _x, w, c in groups[u]) for u in vs
+                ]
+                i = backend.draw(rng, masses)
+                v, mass = vs[i], masses[i]
+            outcome.append(v)
+            rows = groups[v]
+            if isinstance(mass, Fraction):
+                d2 = mass.denominator**2
+                rows = [(x, w * d2, c) for x, w, c in rows]
+        return tuple(outcome)
 
 
 def amplified_round_state(oracle: HidingOracle, probe, j: int, backend) -> SparseState:
@@ -584,75 +753,32 @@ def amplified_round_state(oracle: HidingOracle, probe, j: int, backend) -> Spars
     The pass is amplitude_amplify(round_prep_circuit(...)) run from |0>: prep,
     phase i on flagged labels, reflection about Psi = prep|0>.  Psi is the
     oracle's sampled state Phi with the helper Hadamard and the flag write
-    applied, so neither the pass nor the reflection runs the sampling circuit.
-    The reflection is I + (i - 1)|Psi><Psi|, so a label whose Psi amplitude is
-    a and whose flag is f ends with amplitude a * A_f, where
-    A_f = phase(f) * N_Psi + (i - 1)<Psi|phase Psi>: the pass is one sweep
-    over Phi (`_amplified_pass`).  No query is recorded here: the round
-    records its passes with `HidingOracle.record_passes`."""
-    phi = oracle.sampled_state(backend)
-    return _amplified_pass(phi, _round_terms(oracle, probe, phi), oracle.m, j)
-
-
-def _amplified_pass(phi: SparseState, terms, m: int, j: int) -> SparseState:
-    """One pass from the sampled state Phi and its round terms, with the
-    arithmetic of the Hadamard, phase and reflection steps in their order, so
-    that float amplitudes keep their bits.  Each term (x, v) with amplitude a
-    and pairing p gives the Psi labels (x, v, b, round_flag(m, j, p, b)),
-    b = 0 then 1, with amplitude a; s is a * i on flag 1 and a on flag 0;
-    z = <Psi|s>; and a label's value s * N_Psi + (i - 1) * z * a, at scale
-    N_Psi^3, is computed and tested for zero once per distinct (a, flag),
-    keyed by the backend's memo_key."""
-    backend = phi.backend
-    npsi = 2 * phi.scale
-    ph = backend.root(backend.root_order // 4)
-    flags: dict = {}  # pairing -> (flag at b = 0, flag at b = 1)
-    reps: tuple[dict, dict] = ({}, {})  # per flag: key(a) -> (a, s)
-    rows = []  # (Psi label, key(a), flag) in Psi's order
-    pairs = []  # (a, s) in Psi's order
-    for xv, a, k, p in terms:
-        fs = flags.get(p)
-        if fs is None:
-            fs = flags[p] = (round_flag(m, j, p, 0), round_flag(m, j, p, 1))
-        for b, f in enumerate(fs):
-            rep = reps[f]
-            pair = rep.get(k)
-            if pair is None:
-                pair = rep[k] = (a, a * ph) if f else (a, a)
-            pairs.append(pair)
-            rows.append((xv + (b, f), k, f))
-    coef = (ph - backend.one) * backend.conj_dot(pairs)
-    scale = npsi * npsi * npsi
-    values = []  # per flag: key(a) -> the nonzero value s * N_Psi + coef * a
-    for rep in reps:
-        nonzero = {}
-        for k, (a, s) in rep.items():
-            val = s * npsi + coef * a
-            if not backend.is_zero(val, scale):
-                nonzero[k] = val
-        values.append(nonzero)
-    new = {lbl: values[f][k] for lbl, k, f in rows if k in values[f]}
-    if not new:
-        raise SimulationError("all amplitudes vanished (not a unitary step?)")
-    return SparseState(phi.layout, backend, scale, new)
+    applied, so neither the pass nor the reflection runs the sampling
+    circuit: the values come from the pass's classes (`_DensePasses`).  No
+    query is recorded here: the round records its passes with
+    `HidingOracle.record_passes`."""
+    passes = _DensePasses(oracle, probe, backend)
+    return passes.state(*passes.values(j))
 
 
 def _dense_round(oracle, probe, js, mode, rng, backend, stats, capture):
-    n = oracle.n
+    """The round through the full circuit's amplitudes: each (probe, j) pass
+    is measured from its class sums (`_DensePasses.measure`), with the same
+    outcome, masses and RNG draws as measuring the materialized
+    post-amplification state register by register.  The state itself is
+    built only for a capture hook's `round_state` payload."""
     # each index runs one pass of the round circuit
     oracle.record_passes(stats, len(js))
     trace = RoundTrace(probe=tuple(probe))
     found = []
-    phi = oracle.sampled_state(backend)
-    terms = _round_terms(oracle, probe, phi)
+    passes = _DensePasses(oracle, probe, backend)
     for j in js:
-        state = _amplified_pass(phi, terms, oracle.m, j)
+        flags, values = passes.values(j)
         stats.j_probes += 1
         if capture is not None:
+            state = passes.state(flags, values)
             capture("round_state", {"probe": tuple(probe), "j": j, "state": state})
-        xs, _collapsed = measure_registers(
-            state, [f"x{i}" for i in range(n)], mode=mode, rng=rng
-        )
+        xs = passes.measure(flags, values, mode, rng)
         pairing = sum(p * x for p, x in zip(probe, xs)) % oracle.m
         trace.attempts.append(RoundAttempt(j, xs, pairing))
         if pairing != 0:
@@ -681,7 +807,8 @@ def _reduced_round(oracle, probe, js, mode, rng, backend, stats, capture):
     the class of a is the coset (a/d) * y_d + kernel (`pairing_fibers`).  The
     sampled register is read as the lexicographically r-th element of that
     coset (`coset_element`): the least over the support classes when
-    deterministic, a uniform rank in the picked class when seeded."""
+    deterministic, which is the zero vector whenever class 0 is in the
+    support, and a uniform rank in the picked class when seeded."""
     m = oracle.m
     perp, hn = oracle.complement()
     d, y_d, kernel = pairing_fibers(perp, probe)
@@ -726,7 +853,11 @@ def _reduced_round(oracle, probe, js, mode, rng, backend, stats, capture):
                     "support_a": list(support_a),
                 },
             )
-        if mode == "deterministic":
+        if mode == "deterministic" and norms[0]:
+            # class 0 has flags (0, 0), so it is in the support, and its
+            # rank-0 element, the zero vector, is the least of all
+            xs, pairing = (0,) * oracle.n, 0
+        elif mode == "deterministic":
             xs, pairing = min((fiber_element(a, 0), a) for a in support_a)
         else:
             weights = [

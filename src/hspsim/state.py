@@ -10,9 +10,10 @@ same interface for cross-checking.
 
 The two backend classes are the only code that knows which amplitude type is
 in use: the weighted draw, the conjugate dot product, the transform of one
-QFT fiber, the zero, equality and overlap tests, the memo key and the dump
-format are backend methods, and the primitives below never branch on the
-backend.  The float tests carry tolerances: zero within 1e-10 * sqrt(N), a
+QFT fiber, the zero, equality and overlap tests, the memo key, the dump
+format and the tally of counted terms (exact sums merge equal terms, float
+sums keep them in label order) are backend methods, and the primitives below
+never branch on the backend.  The float tests carry tolerances: zero within 1e-10 * sqrt(N), a
 mass equal to its scale within 1e-6 relative, and amplitude products and
 squared overlaps equal within 1e-9 relative.
 """
@@ -132,6 +133,21 @@ class ExactBackend:
         """sum conj(a) * b over (a, b) amplitude pairs."""
         return self.field.conj_dot(pairs)
 
+    def conj_dot_counted(self, counted):
+        """sum k * conj(a) * b over ((a, b), k) entries, each distinct pair
+        accumulated once."""
+        return self.field.conj_dot_counted(
+            self.tally(((a.coeffs, b.coeffs), k) for (a, b), k in counted)
+        )
+
+    def tally(self, counted) -> list:
+        """(item, count) entries with equal items merged, in first-seen order;
+        exact sums do not depend on the order of their terms."""
+        out: dict = {}
+        for item, k in counted:
+            out[item] = out.get(item, 0) + k
+        return list(out.items())
+
     def mass(self, amps):
         """Total squared magnitude of an amplitude family, as an exact rational.
 
@@ -143,11 +159,25 @@ class ExactBackend:
         exact sampler cannot represent."""
         counts = Counter(a.coeffs for a in amps)
         total = self.field.conj_dot_counted(((c, c), k) for c, k in counts.items())
-        if not total.is_rational():
+        return self._rational(total.coeffs)
+
+    def mass_total(self, counted):
+        """mass() of a family given as (abs2(amplitude), multiplicity) entries:
+        canonical residues add coefficientwise, so no product is taken."""
+        total = [0] * self.field.degree
+        for w, k in counted:
+            for i, c in enumerate(w.coeffs):
+                if c:
+                    total[i] += k * c
+        return self._rational(total)
+
+    @staticmethod
+    def _rational(coeffs):
+        if any(coeffs[1:]):
             raise SimulationError(
                 "total squared amplitude is irrational; cannot sample exactly"
             )
-        return total.rational_value()
+        return coeffs[0]
 
     def draw(self, rng, masses) -> int:
         """Index drawn with probability proportional to its (rational) mass:
@@ -253,14 +283,28 @@ class FloatBackend:
         return amp.real * amp.real + amp.imag * amp.imag
 
     def conj_dot(self, pairs):
+        return self.conj_dot_counted((pair, 1) for pair in pairs)
+
+    # Float sums depend on the order of their terms, so counted entries are
+    # label runs in label order: an entry with count k adds its term k times
+    # where it stands, and tally() merges nothing.
+
+    def conj_dot_counted(self, counted):
         out = None
-        for a, b in pairs:
+        for (a, b), k in counted:
             term = a.conjugate() * b
-            out = term if out is None else out + term
+            for _ in range(k):
+                out = term if out is None else out + term
         return self.zero if out is None else out
+
+    def tally(self, counted) -> list:
+        return list(counted)
 
     def mass(self, amps):
         return sum(self.abs2(a) for a in amps)
+
+    def mass_total(self, counted):
+        return sum(w for w, k in counted for _ in range(k))
 
     def draw(self, rng, masses) -> int:
         return _walk(rng.random() * sum(masses), masses)

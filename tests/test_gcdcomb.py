@@ -2,6 +2,7 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hspsim.gcdcomb import _combine_pair_stats, combine_many, combine_pair
 
@@ -94,6 +95,19 @@ def test_many_property_random():
         assert len(us) == s - 1
         total = sum(u * z for u, z in zip(us, zs[:-1])) + zs[-1]
         assert gcd(total, m) == gcd_many(zs, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10**9), st.lists(st.integers(0, 10**12), min_size=1, max_size=6))
+def test_many_gcd_property(m, raw):
+    # the combination keeps the gcd of all values with m, the coefficients
+    # are reduced mod m, and there is one per value but the last
+    zs = [z % m for z in raw]
+    us = combine_many(zs, m)
+    assert len(us) == len(zs) - 1
+    assert all(0 <= u < m for u in us)
+    total = sum(u * z for u, z in zip(us, zs[:-1])) + zs[-1]
+    assert gcd(total, m) == gcd_many(zs, m)
 
 
 def test_scan_bound_holds_adversarially():

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import product as cartesian
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hspsim.hsp import (
     HidingOracle,
@@ -37,11 +37,13 @@ from hspsim.lattice import (
 from hspsim.state import (
     Register,
     RegisterLayout,
+    ResourceLimitError,
     SimulationError,
     SparseState,
     StatePrep,
     amplitude_amplify,
     make_backend,
+    measure_registers,
     prepare_zero,
 )
 from hspsim import state as state_module
@@ -382,22 +384,27 @@ def test_round_state_matches_the_literal_pass(instance, backend_kind):
 
 @st.composite
 def swap_pairs(draw):
-    """Two unit-modulus states on one digit register, amplitudes powers of i."""
+    """Two unit-modulus states on one digit register, amplitudes powers of a
+    root of unity of order 4 or 24 (whose float sums depend on their order)."""
     dim = draw(st.integers(2, 4))
+    order = draw(st.sampled_from([4, 24]))
 
     def one_state():
         support = draw(st.sets(st.integers(0, dim - 1), min_size=1))
-        return {v: draw(st.integers(0, 3)) for v in sorted(support)}
+        return {v: draw(st.integers(0, order - 1)) for v in sorted(support)}
 
-    return dim, one_state(), one_state()
+    return dim, order, one_state(), one_state()
 
 
 @settings(max_examples=30, deadline=None)
 @given(swap_pairs(), st.sampled_from(["exact", "float"]))
+# float pairs whose overlap sums change their last bits when reordered
+@example((2, 24, {0: 1, 1: 18}, {0: 21, 1: 5}), "float")
+@example((3, 24, {0: 7, 1: 18, 2: 17}, {0: 4, 1: 11, 2: 19}), "float")
 def test_swap_test_round_state_matches_the_literal_pass(pair, backend_kind):
     # the state-valued conditional-swap oracle of the swap test
-    dim, amps1, amps2 = pair
-    backend = make_backend(backend_kind, _root_order(2))
+    dim, order, amps1, amps2 = pair
+    backend = make_backend(backend_kind, order)
     layout = RegisterLayout([Register("w", "digit", dim)])
 
     def state(amps):
@@ -457,6 +464,61 @@ def test_dense_passes_run_none_of_the_pass_steps(monkeypatch):
     literal_round_state(build_coset_oracle(rep), (1, 0), 0,
                         make_backend("exact", _root_order(m)), QueryStats())
     assert set(calls) == {"hadamard", "phase", "reflect"}
+
+
+def test_dense_solves_never_call_measure_register(monkeypatch):
+    # a dense pass is measured from its class sums, with or without a capture
+    # hook; measure_register runs only on the materialized state
+    calls = []
+    real = state_module.measure_register
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(state_module, "measure_register", spy)
+    m, n = 6, 2
+    rep = subgroup_from_generators([(2, 3)], m, 1, n)
+    for backend in ("exact", "float"):
+        for mode, seed in (("deterministic", None), ("seeded", 5)):
+            for capture in (None, lambda event, payload: None):
+                res = solve_hsp_zmn(build_coset_oracle(rep), mode=mode, seed=seed,
+                                    backend=backend, method="dense", capture=capture)
+                assert res.subgroup.hnf == rep.hnf
+    assert calls == []
+    state = amplified_round_state(build_coset_oracle(rep), (1, 0), 0,
+                                  make_backend("exact", _root_order(m)))
+    measure_registers(state, ["x0", "x1"], mode="deterministic")
+    assert calls == ["x0", "x1"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    small_round_instances(),
+    st.sampled_from(["exact", "float"]),
+    st.sampled_from(["seeded", "deterministic"]),
+    st.integers(0, 2**32),
+)
+def test_dense_measurement_matches_measuring_the_materialized_pass(
+    instance, backend_kind, mode, seed
+):
+    # the class-sum measurement of every pass against measure_registers on
+    # the pass's materialized state: the same outcome and the same RNG use
+    m, n, gens, probe = instance
+    rep = subgroup_from_generators(gens, m, 1, n)
+    backend = make_backend(backend_kind, _root_order(m))
+    oracle = build_coset_oracle(rep)
+    registers = [f"x{i}" for i in range(n)]
+    for j in probe_schedule(m):
+        rng = random.Random(seed) if mode == "seeded" else None
+        _found, trace = hsp_round(oracle, probe, mode=mode, rng=rng, backend=backend,
+                                  method="dense", js=[j])
+        ref_rng = random.Random(seed) if mode == "seeded" else None
+        state = amplified_round_state(oracle, probe, j, backend)
+        want, _collapsed = measure_registers(state, registers, mode=mode, rng=ref_rng)
+        assert trace.attempts[0].x == want
+        if rng is not None:
+            assert rng.getstate() == ref_rng.getstate()
 
 
 def test_dense_and_reduced_rounds_agree(rng):
@@ -788,6 +850,33 @@ def test_solve_k2_every_subgroup(m, n):
 
 def test_is_prime():
     assert [p for p in range(14) if is_prime(p)] == [2, 3, 5, 7, 11, 13]
+
+
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_agrees_with_trial_division_below_1e5():
+    assert [n for n in range(10**5) if is_prime(n)] == [
+        n for n in range(10**5) if _trial_division_is_prime(n)
+    ]
+
+
+def test_is_prime_on_large_moduli():
+    assert is_prime(2**61 - 1)
+    # a strong pseudoprime to every prime base up to 23
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(149491 * 747451)
+    assert not is_prime((2**31 - 1) ** 2)
+
+
+def test_is_prime_above_its_exact_range_is_a_resource_limit():
+    # Miller-Rabin over the first 13 prime bases is exact below
+    # 3317044064679887385961981; above it only small factors are decided
+    assert not is_prime(2**100)
+    assert not is_prime(3 * (2**89 - 1))
+    with pytest.raises(ResourceLimitError):
+        is_prime(2**89 - 1)
 
 
 def test_oracle_step_roundtrip_is_identity(rng):

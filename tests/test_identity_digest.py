@@ -15,6 +15,11 @@ capture (exact amplitudes as coefficient lists, float amplitudes by `repr`),
 over every subgroup of a few small cells at exponent 1, in the same modes and
 on both backends.
 
+A third digest covers dense solves without a capture hook, the path a dense
+solve takes when nothing asks for its states: per solve the HNF, the trace,
+`QueryStats` and the RNG state, over the dense cells above plus a fixed
+sample of subgroups of Z_3^3, in the same modes and on both backends.
+
 A change that alters any of these on purpose must say so and re-pin.
 """
 
@@ -34,6 +39,8 @@ MODES = (("deterministic", None), ("seeded", 1), ("seeded", 77))
 PINNED = "8ea916e0cfe228ae5908058d9878327c1e16b926b304aea8d265db57d85b1c91"
 DENSE_CELLS = [(4, 2), (3, 2), (2, 3), (5, 2), (2, 2), (6, 1), (12, 1)]
 DENSE_PINNED = "94785f9ffaa501231810da0b14f7c4f9b4139a8fe28c9fd3325d7bb581f177f2"
+UNCAPTURED_SAMPLE = ((3, 3), 8)  # the cell and how many of its subgroups
+UNCAPTURED_PINNED = "431c31f57d755e98635e4dd5f1e162fc246ef4c07752b2a453dcfa4ebdc65c2e"
 
 
 class _RecordingRandom:
@@ -137,3 +144,36 @@ def test_dense_solves_match_the_pinned_digest():
     got, count = dense_solve_digest()
     assert count == 60 * 2 * len(MODES)
     assert got == DENSE_PINNED
+
+
+def _uncaptured_dense_record(m, n, rows, backend, mode, seed):
+    rep = SubgroupRep(m, 1, n, IntMatrix.from_rows(rows))
+    rng = random.Random(seed) if mode == "seeded" else None
+    res = solve_hsp_zmn(build_coset_oracle(rep), mode=mode, rng=rng, backend=backend,
+                        method="dense")
+    assert res.subgroup.hnf.data == rows
+    return (m, n, rows, backend, mode, seed, res.subgroup.hnf.data,
+            [t.to_dict() for t in res.trace], res.stats.to_dict(),
+            rng.getstate() if rng is not None else None)
+
+
+def uncaptured_dense_digest() -> tuple[str, int]:
+    (m3, n3), size = UNCAPTURED_SAMPLE
+    cells = [(m, n, enumerate_subgroup_hnfs(m, n)) for m, n in DENSE_CELLS]
+    cells.append((m3, n3, random.Random(f"{m3}/1/{n3}").sample(
+        enumerate_subgroup_hnfs(m3, n3), size)))
+    digest, count = hashlib.sha256(), 0
+    for m, n, hnfs in cells:
+        for rows in hnfs:
+            for backend in ("exact", "float"):
+                for mode, seed in MODES:
+                    record = _uncaptured_dense_record(m, n, rows, backend, mode, seed)
+                    digest.update(repr(record).encode())
+                    count += 1
+    return digest.hexdigest(), count
+
+
+def test_uncaptured_dense_solves_match_the_pinned_digest():
+    got, count = uncaptured_dense_digest()
+    assert count == (60 + UNCAPTURED_SAMPLE[1]) * 2 * len(MODES)
+    assert got == UNCAPTURED_PINNED

@@ -1,5 +1,5 @@
 import random
-from itertools import product as cartesian
+from itertools import combinations, product as cartesian
 from math import gcd
 
 import pytest
@@ -158,6 +158,61 @@ def test_snf_reconstruction_and_divisibility(rng):
                 assert a and b % a == 0
             if a == 0:
                 assert b == 0
+
+
+def _unimodular(data, size):
+    """A random unimodular matrix: the identity under drawn row additions,
+    swaps and negations."""
+    rows = [[int(i == j) for j in range(size)] for i in range(size)]
+    for _ in range(data.draw(st.integers(0, 6))):
+        i, j = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
+        op = data.draw(st.sampled_from(["add", "swap", "negate"]))
+        if op == "add" and i != j:
+            t = data.draw(st.integers(-3, 3))
+            rows[i] = [a + t * b for a, b in zip(rows[i], rows[j])]
+        elif op == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+        elif op == "negate":
+            rows[i] = [-a for a in rows[i]]
+    return IntMatrix.from_rows(rows)
+
+
+def _determinantal_divisors(M):
+    """gcd of all k x k minors of M, for k = 1 .. min(rows, cols)."""
+    out = []
+    for k in range(1, min(M.rows, M.cols) + 1):
+        g = 0
+        for rows in combinations(range(M.rows), k):
+            for cols in combinations(range(M.cols), k):
+                sub = IntMatrix.from_rows([[M.data[r][c] for c in cols] for r in rows])
+                g = gcd(g, sub.det())
+        out.append(abs(g))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_snf_reconstruction_and_uniqueness_property(data):
+    # S = L M R with L, R unimodular and S diagonal with d_1 | d_2 | ...;
+    # the diagonal is unique: its prefix products are the gcds of the minors,
+    # and an equivalent matrix U M V has the same Smith form
+    n, s = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    entry = st.integers(-30, 30)
+    M = IntMatrix.from_rows([[data.draw(entry) for _ in range(s)] for _ in range(n)])
+    S, L, R = smith_normal_form(M)
+    assert S == (L @ M) @ R
+    assert L.is_unimodular() and R.is_unimodular()
+    assert all(S.data[i][j] == 0 for i in range(n) for j in range(s) if i != j)
+    diag = [S.data[i][i] for i in range(min(n, s))]
+    assert all(d >= 0 for d in diag)
+    for a, b in zip(diag, diag[1:]):
+        assert (b % a == 0) if a else b == 0
+    prefix = 1
+    for d, divisor in zip(diag, _determinantal_divisors(M)):
+        prefix *= d
+        assert prefix == divisor
+    U, V = _unimodular(data, n), _unimodular(data, s)
+    assert smith_normal_form((U @ M) @ V)[0] == S
 
 
 # ---------------------------------------------------------------------------

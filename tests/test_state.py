@@ -724,3 +724,22 @@ def test_counted_mass_equals_the_per_label_fold(case):
     family = list(state.amps.values()) * 2 + list(psi.amps.values())
     assert backend.mass(family) == naive_mass(backend, family)
     assert backend.mass(state.amps.values()) == naive_mass(backend, state.amps.values())
+    # the counted forms: each distinct amplitude once, with its multiplicity
+    counted = backend.tally((a, 1) for a in family)
+    assert backend.mass_total((backend.abs2(a), k) for a, k in counted) == naive_mass(
+        backend, family
+    )
+    pairs = list(zip(family, reversed(family)))
+    assert backend.conj_dot_counted(backend.tally((p, 1) for p in pairs)).coeffs == (
+        naive_conj_dot(backend, pairs).coeffs
+    )
+
+
+def test_irrational_mass_faults():
+    # |1 + w|^2 = 2 + sqrt(2) for w of order 8: no exact draw can use it
+    backend = make_backend("exact", 8)
+    amp = backend.one + backend.root(1)
+    with pytest.raises(SimulationError, match="irrational"):
+        backend.mass([amp])
+    with pytest.raises(SimulationError, match="irrational"):
+        backend.mass_total([(backend.abs2(amp), 3)])
