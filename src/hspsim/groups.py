@@ -5,6 +5,10 @@ from repeated m-th powers, never read off the representation.
 Three concrete encodings: permutations (image lists packed in base degree),
 finite multiplication tables (element index), and unit groups modulo N
 (the residue itself).
+
+A permutation backend keeps the image tuple of every code it has multiplied,
+decoded and checked once on first sight, and composes products on those
+tuples: its memory is one tuple per distinct element it has multiplied.
 """
 
 from __future__ import annotations
@@ -65,6 +69,7 @@ class PermutationBackend(GroupBackend):
         if _integer(degree, "degree") < 1:
             raise ValueError("degree must be positive")
         self.degree = degree
+        self._images: dict[int, tuple[int, ...]] = {}
         span = degree**degree
         self.l_bits = max(1, (span - 1).bit_length())
         self.generators = [self.encode_element(g) for g in generators]
@@ -84,10 +89,25 @@ class PermutationBackend(GroupBackend):
             out.append(r)
         return tuple(out)
 
+    def _image(self, code: int) -> tuple[int, ...]:
+        """Decode a code not yet seen and keep its image; a code that decodes
+        to a non-permutation raises ValueError."""
+        img = self.decode(code)
+        if sorted(img) != list(range(self.degree)):
+            raise ValueError(f"not a permutation of range({self.degree}): {img}")
+        self._images[code] = img
+        return img
+
     def mul(self, a: int, b: int) -> int:
         self.mul_calls += 1
-        pa, pb = self.decode(a), self.decode(b)
-        return self.encode(tuple(pa[pb[i]] for i in range(self.degree)))
+        images = self._images
+        pa = images.get(a) or self._image(a)
+        pb = images.get(b) or self._image(b)
+        # the product maps i to pa[pb[i]]; pack its images by Horner's rule
+        code, degree = 0, self.degree
+        for j in reversed(pb):
+            code = code * degree + pa[j]
+        return code
 
     def identity_code(self) -> int:
         return self.encode(tuple(range(self.degree)))

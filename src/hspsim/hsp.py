@@ -18,16 +18,18 @@ two amplitudes per threshold index, both Gaussian integers, and weighs the
 classes by their integer norms on either amplitude backend.  The two rounds
 are cross-checked in the test suite.
 
-The reduced round enumerates nothing.  It needs the complement P of the
-hidden subgroup, computed once per oracle.  The pairing with the probe u
-maps P onto d * Z_m, so each class a (a multiple of d) holds |P| * d / m
-elements and is the coset (a/d) * y_d + kernel, both read off one gcd
-elimination over the pairings of u with P's basis.  A measured element is
-the lexicographically r-th element of such a coset, found in O(n^2) from the
-kernel's triangular basis: the least one over the support classes when
-deterministic, a uniform rank in the sampled class when seeded, which is the
-element and the RNG draw the sorted complement gave.  A round thus costs time
-polynomial in n * log m.
+The reduced round enumerates no subgroup.  It needs the complement P of the
+hidden subgroup, which the subgroup's rep computes once and keeps.  The
+pairing with the probe u maps P onto d * Z_m, so each class a (a multiple of
+d) holds |P| * d / m elements and is the coset (a/d) * y_d + kernel, both
+read off one gcd elimination over the pairings of u with P's basis.  A
+measured element is the lexicographically r-th element of such a coset,
+found in O(n^2) from the kernel's triangular basis: the least one over the
+support classes when deterministic, a uniform rank in the sampled class when
+seeded, which is the element and the RNG draw the sorted complement gave.
+A round is still linear in m, not polynomial in log m: it lists the class
+sizes over Z_m and evaluates the flags of all m/d classes at each threshold
+index, and the exact backend refuses odd m > 1024 (ROADMAP item 2).
 
 The reduced round needs the hidden subgroup, so method="auto" runs it
 exactly when the oracle knows that subgroup (`hidden_known`).  Coset oracles
@@ -86,7 +88,6 @@ from .lattice import (
     perp_subgroup,
     section_map,
     subgroup_from_generators,
-    subgroup_order,
     trivial_subgroup,
 )
 from .state import (
@@ -262,7 +263,6 @@ class HidingOracle:
         self._table = None
         self._hidden = hidden
         self._scanned = False
-        self._complement = None
         self._sampled: dict = {}
         self._tallies: dict = {}
         if label_fn is not None:
@@ -388,14 +388,13 @@ class HidingOracle:
         return hidden
 
     def complement(self) -> tuple[SubgroupRep, int]:
-        """The hidden subgroup's orthogonal complement and its order,
-        computed once per oracle."""
+        """The hidden subgroup's orthogonal complement and its order; the
+        complement is computed once per subgroup rep, which keeps it."""
         if self.k != 1:
             raise ValueError("the complement is an exponent-1 operation")
-        if self._complement is None:
-            perp = perp_subgroup(self.hidden_subgroup())
-            self._complement = (perp, subgroup_order(perp))
-        return self._complement
+        hidden = self.hidden_subgroup()
+        # |H-perp| = [Z_m^n : H], the determinant of H's basis
+        return hidden._complement, hidden.det()
 
     def sampled_state(self, backend) -> SparseState:
         """QFT, f, QFT over Z_m^n run from |0> on the round layout, helper

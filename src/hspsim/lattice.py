@@ -430,8 +430,27 @@ class SubgroupRep:
             for i in range(self.n)
         )
 
+    @cached_property
+    def _complement(self) -> "SubgroupRep":
+        """The orthogonal complement (k = 1): see `perp_subgroup`."""
+        m, n, A = self.m, self.n, self.hnf.data
+        X = [[0] * n for _ in range(n)]
+        for j in range(n):
+            for i in range(j, n):
+                s = (m if i == j else 0) - sum(A[i][l] * X[l][j] for l in range(j, i))
+                X[i][j], r = divmod(s, A[i][i])
+                if r:
+                    raise ArithmeticError("invariant violation: m * A^-1 is not integral")
+        return subgroup_from_generators(X, m, 1, n)
+
+    @cached_property
+    def _smith(self) -> tuple:
+        """`_smith_with_inverse` of the basis, read by `lift_by_m` and
+        `section_map`."""
+        return _smith_with_inverse(self.hnf)
+
     def det(self) -> int:
-        return self.hnf.det()
+        return prod(self.hnf.data[i][i] for i in range(self.n))
 
 
 def subgroup_from_generators(gens, m: int, k: int, n: int) -> SubgroupRep:
@@ -573,19 +592,11 @@ def perp_subgroup(rep: SubgroupRep) -> SubgroupRep:
     Defined for exponent k = 1 only.  The basis A is lower triangular and its
     lattice contains m * Z^n, so X = m * A^{-1} is integral; the rows of X
     span the complement's lattice (A^T y in m * Z^n).  X comes from forward
-    substitution, every division exact.
+    substitution, every division exact, once per rep: the rep keeps it.
     """
     if rep.k != 1:
         raise ValueError("orthogonal complement is defined modulo m (k = 1) only")
-    m, n, A = rep.m, rep.n, rep.hnf.data
-    X = [[0] * n for _ in range(n)]
-    for j in range(n):
-        for i in range(j, n):
-            s = (m if i == j else 0) - sum(A[i][l] * X[l][j] for l in range(j, i))
-            X[i][j], r = divmod(s, A[i][i])
-            if r:
-                raise ArithmeticError("invariant violation: m * A^-1 is not integral")
-    return subgroup_from_generators(X, m, 1, n)
+    return rep._complement
 
 
 def pairing_fibers(rep: SubgroupRep, u) -> tuple[int, tuple[int, ...], list[list[int]]]:
@@ -639,7 +650,7 @@ def coset_element(kernel, m: int, start, r: int) -> tuple[int, ...]:
 
 def lift_by_m(rep: SubgroupRep) -> SubgroupRep:
     """The subgroup of all x with m*x in the input subgroup."""
-    S, _, _, Linv = _smith_with_inverse(rep.hnf)
+    S, _, _, Linv = rep._smith
     d = [S.data[i][i] for i in range(rep.n)]
     cols = []
     for i in range(rep.n):
@@ -702,7 +713,7 @@ class SectionMap:
 
 def section_map(rep: SubgroupRep, lifted: SubgroupRep | None = None) -> SectionMap:
     """Build the transversal map for one divide-by-m reduction round."""
-    S, _, _, Linv = _smith_with_inverse(rep.hnf)
+    S, _, _, Linv = rep._smith
     d = tuple(S.data[i][i] for i in range(rep.n))
     sm = SectionMap(rep.m, rep.k, rep.n, d, Linv)
     if lifted is not None:

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hspsim.groups import (
     BadOrderError,
@@ -39,6 +40,40 @@ def test_permutation_mul_is_composition():
     q = (1, 0, 2)
     code = b.mul(b.encode(p), b.encode(q))
     assert b.decode(code) == perm_mul(p, q)
+
+
+def _permutations(degree):
+    return st.permutations(range(degree)).map(tuple)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_permutation_products_match_composition(data):
+    # each product is composed on cached images; every call counts once
+    degree = data.draw(st.integers(1, 6))
+    perms = data.draw(st.lists(_permutations(degree), min_size=2, max_size=8))
+    b = PermutationBackend(degree, [])
+    for calls, (p, q) in enumerate(zip(perms, perms[1:] + perms[:1]), start=1):
+        code = b.mul(b.encode(p), b.encode(q))
+        assert b.decode(code) == perm_mul(p, q)
+        assert b.mul_calls == calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_permutation_mul_rejects_a_non_permutation_code(data):
+    degree = data.draw(st.integers(2, 6))
+    images = data.draw(
+        st.lists(st.integers(0, degree - 1), min_size=degree, max_size=degree)
+        .filter(lambda v: sorted(v) != list(range(degree)))
+    )
+    bad = sum(v * degree**i for i, v in enumerate(images))
+    b = PermutationBackend(degree, [])
+    good = b.encode(data.draw(_permutations(degree)))
+    b.mul(good, good)
+    for a, c in ((bad, good), (good, bad), (bad, good)):
+        with pytest.raises(ValueError):
+            b.mul(a, c)
 
 
 def test_table_backend_identity_detection():

@@ -20,6 +20,14 @@ solve takes when nothing asks for its states: per solve the HNF, the trace,
 `QueryStats` and the RNG state, over the dense cells above plus a fixed
 sample of subgroups of Z_3^3, in the same modes and on both backends.
 
+A fourth digest covers the black-box layer, which no round digest reaches:
+per zoo group of `conftest.ZOO`, on both backends, deterministic and with
+seeds 3 and 11, the polycyclic series (elements and factor orders), the group
+order, the derived series, the decomposition of the abelianization, the
+membership of each series element and generator in the subgroup generated by
+the first half of the series, `ctx.stats`, the group backend's `mul_calls`
+and the context's RNG state.
+
 A change that alters any of these on purpose must say so and re-pin.
 """
 
@@ -27,10 +35,19 @@ import hashlib
 import random
 
 from hspsim import hsp as hsp_module
+from hspsim.blackbox import (
+    BlackboxContext,
+    abelian_factor_decomposition,
+    build_group_superposition,
+    build_polycyclic_series,
+    derived_series,
+    group_order,
+    superposition_membership,
+)
 from hspsim.hsp import build_coset_oracle, solve_hsp, solve_hsp_zmn
 from hspsim.lattice import IntMatrix, SubgroupRep
 
-from conftest import enumerate_subgroup_hnfs
+from conftest import ZOO, enumerate_subgroup_hnfs
 
 CELLS = [(4, 1, 2), (6, 1, 2), (12, 1, 2), (6, 1, 3), (8, 1, 3), (9, 1, 3), (10, 1, 3),
          (12, 1, 3), (2, 2, 2), (3, 2, 2), (6, 2, 1)]
@@ -41,6 +58,8 @@ DENSE_CELLS = [(4, 2), (3, 2), (2, 3), (5, 2), (2, 2), (6, 1), (12, 1)]
 DENSE_PINNED = "94785f9ffaa501231810da0b14f7c4f9b4139a8fe28c9fd3325d7bb581f177f2"
 UNCAPTURED_SAMPLE = ((3, 3), 8)  # the cell and how many of its subgroups
 UNCAPTURED_PINNED = "431c31f57d755e98635e4dd5f1e162fc246ef4c07752b2a453dcfa4ebdc65c2e"
+BLACKBOX_MODES = (("deterministic", 0), ("seeded", 3), ("seeded", 11))
+BLACKBOX_PINNED = "5f76272dcfcbed503648d142d2d30a22b0df25e90e046f1154c3fd5e3f770b0c"
 
 
 class _RecordingRandom:
@@ -177,3 +196,37 @@ def test_uncaptured_dense_solves_match_the_pinned_digest():
     got, count = uncaptured_dense_digest()
     assert count == (60 + UNCAPTURED_SAMPLE[1]) * 2 * len(MODES)
     assert got == UNCAPTURED_PINNED
+
+
+def _blackbox_record(name, amp_backend, mode, seed):
+    make, _order = ZOO[name]
+    backend, m = make()
+    ctx = BlackboxContext(backend, m, amp_backend=amp_backend, mode=mode, seed=seed)
+    series = build_polycyclic_series(backend, m, ctx)
+    order = group_order(series, ctx)
+    chain = derived_series(backend, m, ctx)
+    decomp = abelian_factor_decomposition(backend, chain[1], m, ctx)
+    half = build_group_superposition(series.prefix(len(series) // 2), ctx)
+    members = [superposition_membership(u, half, ctx)
+               for u in series.elements + backend.generators]
+    gm = decomp.generator_matrix
+    return (name, amp_backend, mode, seed, series.elements, series.factor_orders, order,
+            chain, decomp.nprime, decomp.factors, gm.data if gm is not None else None,
+            members, ctx.stats.to_dict(), backend.mul_calls, ctx.rng.getstate())
+
+
+def blackbox_digest() -> tuple[str, int]:
+    digest, count = hashlib.sha256(), 0
+    for name in ZOO:
+        for amp_backend in ("exact", "float"):
+            for mode, seed in BLACKBOX_MODES:
+                record = _blackbox_record(name, amp_backend, mode, seed)
+                digest.update(repr(record).encode())
+                count += 1
+    return digest.hexdigest(), count
+
+
+def test_blackbox_runs_match_the_pinned_digest():
+    got, count = blackbox_digest()
+    assert count == len(ZOO) * 2 * len(BLACKBOX_MODES)
+    assert got == BLACKBOX_PINNED

@@ -29,6 +29,7 @@ from hspsim.lattice import (
     subgroup_from_generators,
     subgroup_order,
     trivial_subgroup,
+    _smith_with_inverse,
 )
 
 from conftest import enumerate_subgroup_hnfs, lattice_points
@@ -415,13 +416,15 @@ def test_perp_involution_and_order_product():
 
 
 @st.composite
-def small_subgroups(draw, max_points=1000):
-    """A subgroup of Z_m^n with m^n <= max_points, by random generators."""
-    m, n = draw(st.sampled_from(
-        [(m, n) for m in range(2, 13) for n in range(1, 5) if m**n <= max_points]
-    ))
-    vec = st.tuples(*[st.integers(0, m - 1)] * n)
-    return subgroup_from_generators(draw(st.lists(vec, max_size=n + 1)), m, 1, n)
+def small_subgroups(draw, max_points=1000, exponents=(1,)):
+    """A subgroup of Z_{m^k}^n with m^(k*n) <= max_points, by random
+    generators."""
+    m, k, n = draw(st.sampled_from([
+        (m, k, n) for m in range(2, 13) for k in exponents for n in range(1, 5)
+        if m ** (k * n) <= max_points
+    ]))
+    vec = st.tuples(*[st.integers(0, m**k - 1)] * n)
+    return subgroup_from_generators(draw(st.lists(vec, max_size=n + 1)), m, k, n)
 
 
 def pairing(u, y, m):
@@ -439,6 +442,15 @@ def test_perp_is_the_brute_force_complement(rep):
     assert set(enumerate_elements(perp)) == expected
     assert perp_subgroup(perp).hnf == rep.hnf
     assert len(points) * subgroup_order(perp) == m**n
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_subgroups())
+def test_perp_is_an_involution_kept_on_the_rep(rep):
+    perp = perp_subgroup(rep)
+    assert perp_subgroup(perp) == rep
+    assert perp_subgroup(rep) is perp
+    assert rep.det() == rep.hnf.det() == subgroup_order(perp)
 
 
 @settings(max_examples=80, deadline=None)
@@ -500,6 +512,30 @@ def test_lift_matches_enumeration():
             assert lattice_points(lifted.hnf.to_lists(), q, n) == expected
             for col in rep.hnf.columns():
                 assert contains_element(lifted, col)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_subgroups(max_points=4096, exponents=(1, 2, 3)))
+def test_lift_is_the_enumerated_preimage_of_multiplication_by_m(rep):
+    m, q, n = rep.m, rep.modulus, rep.n
+    expected = {x for x in cartesian(range(q), repeat=n)
+                if contains_element(rep, [m * v for v in x])}
+    assert set(enumerate_elements(lift_by_m(rep))) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_subgroups(exponents=(1, 2, 3)))
+def test_lift_and_section_read_one_smith_form(rep):
+    # section_map first, so lift_by_m reads the Smith form the rep keeps
+    m, n = rep.m, rep.n
+    S, _, _, Linv = _smith_with_inverse(rep.hnf)
+    diag = tuple(S.data[i][i] for i in range(n))
+    section = section_map(rep)
+    assert (section.diag, section.linv) == (diag, Linv)
+    cols = [[d // gcd(d, m) * Linv.data[r][i] for r in range(n)] for i, d in enumerate(diag)]
+    lifted = lift_by_m(rep)
+    assert lifted == subgroup_from_generators(cols, m, rep.k, n)
+    assert section_map(rep, lifted) == section
 
 
 def test_section_map_examples():
