@@ -55,16 +55,22 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
 
 class CycloField:
     """Arithmetic context for one root order M: the reduction tables for
-    canonical residues modulo the M-th cyclotomic polynomial."""
+    canonical residues modulo the M-th cyclotomic polynomial.
 
-    _instances: dict[int, "CycloField"] = {}
+    Fields are shared per order through an LRU of CACHE_SIZE entries; an
+    evicted field is rebuilt on demand, and two instances' elements mix."""
+
+    CACHE_SIZE = 16
+    _instances: dict[int, "CycloField"] = {}  # least recently used first
 
     def __new__(cls, order: int):
-        inst = cls._instances.get(order)
+        inst = cls._instances.pop(order, None)
         if inst is None:
             inst = super().__new__(cls)
             inst._init(order)
-            cls._instances[order] = inst
+            if len(cls._instances) >= cls.CACHE_SIZE:
+                del cls._instances[next(iter(cls._instances))]
+        cls._instances[order] = inst
         return inst
 
     def _init(self, order: int) -> None:
@@ -188,7 +194,7 @@ class Cyclotomic:
 
     def __add__(self, other):
         if isinstance(other, Cyclotomic):
-            if other.field is not self.field:
+            if other.field is not self.field and other.field.order != self.field.order:
                 raise ValueError("mixed root orders")
             return Cyclotomic(
                 self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
@@ -197,7 +203,7 @@ class Cyclotomic:
 
     def __sub__(self, other):
         if isinstance(other, Cyclotomic):
-            if other.field is not self.field:
+            if other.field is not self.field and other.field.order != self.field.order:
                 raise ValueError("mixed root orders")
             return Cyclotomic(
                 self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
@@ -210,7 +216,7 @@ class Cyclotomic:
     def __mul__(self, other):
         fld = self.field
         if isinstance(other, Cyclotomic):
-            if other.field is not fld:
+            if other.field is not fld and other.field.order != fld.order:
                 raise ValueError("mixed root orders")
             deg = fld.degree
             conv = [0] * (2 * deg - 1 if deg else 1)
@@ -240,7 +246,8 @@ class Cyclotomic:
 
     def __eq__(self, other):
         if isinstance(other, Cyclotomic):
-            return self.field is other.field and all(
+            fa, fb = self.field, other.field
+            return (fa is fb or fa.order == fb.order) and all(
                 a == b for a, b in zip(self.coeffs, other.coeffs)
             )
         if isinstance(other, (int, Fraction)):

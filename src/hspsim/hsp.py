@@ -27,9 +27,9 @@ measured element is the lexicographically r-th element of such a coset,
 found in O(n^2) from the kernel's triangular basis: the least one over the
 support classes when deterministic, a uniform rank in the sampled class when
 seeded, which is the element and the RNG draw the sorted complement gave.
-A round is still linear in m, not polynomial in log m: it lists the class
-sizes over Z_m and evaluates the flags of all m/d classes at each threshold
-index, and the exact backend refuses odd m > 1024 (ROADMAP item 2).
+Flags are constant on four runs of classes, so a round costs O(|js|)
+arithmetic plus O(n^2 log m) lattice and pick work, and the exact backend
+builds its field only when an amplitude is read (a capture hook's payload).
 
 The reduced round needs the hidden subgroup, so method="auto" runs it
 exactly when the oracle knows that subgroup (`hidden_known`).  Coset oracles
@@ -83,6 +83,7 @@ from .lattice import (
     equal_or_witness,
     full_subgroup,
     join,
+    least_with_pairing,
     lift_by_m,
     pairing_fibers,
     perp_subgroup,
@@ -796,51 +797,53 @@ def _reduced_round(oracle, probe, js, mode, rng, backend, stats, capture):
 
     Both amplitudes are Gaussian integers, kept as pairs (re, im): their norms
     are integers, so the normalization check is exact and the sampling weights
-    are the same on both backends; the backend's `draw`, the one the dense
-    measurement uses, picks the class.  Backend amplitudes are built only for
-    the capture payload.  The hidden subgroup comes from the oracle: declared,
-    scanned, or read off its label table.
+    are the same on both backends.  Backend amplitudes and the per-class
+    payload lists are built only for a capture hook.  The hidden subgroup
+    comes from the oracle: declared, scanned, or read off its label table.
 
     Nothing is enumerated.  The pairing maps H-perp onto d * Z_m, so the
     classes are the multiples of d, each of |H-perp| * d / m elements, and
-    the class of a is the coset (a/d) * y_d + kernel (`pairing_fibers`).  The
-    sampled register is read as the lexicographically r-th element of that
-    coset (`coset_element`): the least over the support classes when
-    deterministic, which is the zero vector whenever class 0 is in the
-    support, and a uniform rank in the picked class when seeded."""
-    m = oracle.m
+    the class of a is the coset (a/d) * y_d + kernel (`pairing_fibers`).
+    Flags are constant on four runs of classes, so c_f counts multiples of d
+    per run.  The sampled register is read as the r-th element of a class
+    (`coset_element`): when deterministic the least over the support, the
+    zero vector whenever class 0 is in it, else `least_with_pairing`; when
+    seeded a uniform rank in the class `backend.draw` would pick."""
+    m, n = oracle.m, oracle.n
     perp, hn = oracle.complement()
     d, y_d, kernel = pairing_fibers(perp, probe)
-    classes = list(range(0, m, d))
-    na = [hn * d // m if a % d == 0 else 0 for a in range(m)]
+    size = hn * d // m  # elements per class
     scale = (2 * hn) ** 3
-
-    def fiber_element(a, r):
-        return coset_element(kernel, m, [a // d * y for y in y_d], r)
+    half = (m + 1) // 2  # 2a >= m from a = half on
+    n_below = (half - 1) // d  # classes in (0, half)
+    n_top = m // d - 1 - n_below  # classes in [half, m)
 
     # each index stands for one pass of the dense round's circuit
     oracle.record_passes(stats, len(js))
     if capture is not None:
         one, iunit = backend.one, backend.imag_unit()
+        classes = range(0, m, d)
+        na = [size if a % d == 0 else 0 for a in range(m)]
     trace = RoundTrace(probe=tuple(probe))
     found = []
     for j in js:
         stats.j_probes += 1
-
-        flags = {a: (round_flag(m, j, a, 0), round_flag(m, j, a, 1)) for a in classes}
-        counts = [0, 0]
-        for a in classes:
-            for f in flags[a]:
-                counts[f] += na[a]
+        # flags at (b = 0, b = 1) are constant on four runs of classes: {0},
+        # (0, 0); (0, low], (0, 1); the rest below half, (0, 0); the n_top
+        # classes from half on, (1, 1)
+        low = min(1 << j, half - 1) if j >= 0 else 0
+        n_low = low // d
+        c0, c1 = size * (2 + 2 * n_below - n_low), size * (n_low + 2 * n_top)
         # (i - 1)(c_0 + i c_1) = -(c_0 + c_1) + i (c_0 - c_1)
-        re, im = -(counts[0] + counts[1]), counts[0] - counts[1]
+        re, im = -(c0 + c1), c0 - c1
         amps = [(re + 2 * hn, im), (re, im + 2 * hn)]
         norms = [x * x + y * y for x, y in amps]
-        if counts[0] * norms[0] + counts[1] * norms[1] != scale:
+        if c0 * norms[0] + c1 * norms[1] != scale:
             raise AssertionError("reduced-round normalization check failed")
-        support_a = [a for a in classes if norms[flags[a][0]] or norms[flags[a][1]]]
         if capture is not None:
             values = [one * x + iunit * y for x, y in amps]
+            flags = {a: (1, 1) if a >= half else (0, int(0 < a <= low)) for a in classes}
+            support = [a for a in classes if norms[flags[a][0]] + norms[flags[a][1]]]
             capture(
                 "round_reduced",
                 {
@@ -849,27 +852,46 @@ def _reduced_round(oracle, probe, js, mode, rng, backend, stats, capture):
                     "na": list(na),
                     "amp": {(a, b): values[flags[a][b]] for a in classes for b in (0, 1)},
                     "scale": scale,
-                    "support_a": list(support_a),
+                    "support_a": support,
                 },
             )
         if mode == "deterministic" and norms[0]:
             # class 0 has flags (0, 0), so it is in the support, and its
             # rank-0 element, the zero vector, is the least of all
-            xs, pairing = (0,) * oracle.n, 0
+            xs, pairing = (0,) * n, 0
         elif mode == "deterministic":
-            xs, pairing = min((fiber_element(a, 0), a) for a in support_a)
+            # the support is then every class with a flag set
+            xs, pairing = least_with_pairing(perp, probe, low, half)
         else:
-            weights = [
-                (norms[flags[a][0]] + norms[flags[a][1]]) * na[a] for a in support_a
-            ]
-            a_pick = support_a[backend.draw(rng, weights)]
-            xs = fiber_element(a_pick, rng.randrange(na[a_pick]))
-            pairing = a_pick
+            # per-class weights by run; they total the checked scale
+            w0, w1 = norms[0] * size, norms[1] * size
+            runs = ((1, 2 * w0), (n_low, w0 + w1), (n_below - n_low, 2 * w0), (n_top, 2 * w1))
+            pairing = _drawn_class(backend.threshold(rng, scale), runs) * d
+            start = [pairing // d * y for y in y_d]
+            xs = coset_element(kernel, m, start, rng.randrange(size))
         trace.attempts.append(RoundAttempt(j, xs, pairing))
         if pairing != 0:
             found.append(xs)
     trace.found = bool(found)
     return found, trace
+
+
+def _drawn_class(threshold, runs) -> int:
+    """The class index `_walk` picks for a threshold over the classes'
+    weights, given as runs of (number of classes, weight per class).  The
+    threshold, int or float, is an exact ratio num/den, so one integer
+    division finds the first class whose running total exceeds it; past the
+    total, the walk picks the last support class."""
+    num, den = threshold.as_integer_ratio()
+    first = acc = 0
+    for count, w in runs:
+        if count and w:
+            end = acc + count * w
+            if num < end * den:
+                return first + (num - acc * den) // (w * den)
+            last, acc = first + count - 1, end
+        first += count
+    return last
 
 
 def hsp_round(

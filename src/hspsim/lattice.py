@@ -441,7 +441,9 @@ class SubgroupRep:
                 X[i][j], r = divmod(s, A[i][i])
                 if r:
                     raise ArithmeticError("invariant violation: m * A^-1 is not integral")
-        return subgroup_from_generators(X, m, 1, n)
+        # the rows of X, a full-rank basis, span a lattice containing m * Z^n
+        _hnf_columns(X, n)
+        return _hnf_rep(X, m, 1, n)
 
     @cached_property
     def _smith(self) -> tuple:
@@ -483,8 +485,20 @@ def _grown(basis, gens, m: int, k: int, n: int) -> SubgroupRep:
                 pending = []
     if pending:
         basis = _hnf_basis(basis, pending)
-    data = tuple(tuple(col[i] for col in basis) for i in range(n))
-    return SubgroupRep(m, k, n, IntMatrix(n, n, data))
+    return _hnf_rep(basis, m, k, n)
+
+
+def _hnf_rep(basis, m: int, k: int, n: int) -> SubgroupRep:
+    """The rep of HNF columns of a lattice containing m^k * Z^n by
+    construction, so without __post_init__'s checks on an outside basis; the
+    full group's rep is shared, with the complement it keeps."""
+    data = tuple(zip(*basis))
+    full = full_subgroup(m, k, n)
+    if data == full.hnf.data:
+        return full
+    rep = object.__new__(SubgroupRep)
+    rep.__dict__.update(m=m, k=k, n=n, hnf=IntMatrix(n, n, data))
+    return rep
 
 
 def _in_column_lattice(cols, vec) -> bool:
@@ -568,8 +582,9 @@ def equal_or_witness(a: SubgroupRep, b: SubgroupRep) -> tuple[int, ...] | None:
     """
     if (a.m, a.k, a.n) != (b.m, b.k, b.n):
         raise ValueError("mismatched ambient groups")
+    cols = b.hnf.columns()
     for col in a.hnf.columns():
-        if not contains_element(b, col):
+        if not _in_column_lattice(cols, col):
             raise ValueError("precondition violated: first subgroup is not contained in second")
     if a.hnf == b.hnf:
         return None
@@ -646,6 +661,63 @@ def coset_element(kernel, m: int, start, r: int) -> tuple[int, ...]:
             for l in range(i, len(v)):
                 v[l] = (v[l] + c * col[l]) % m
     return tuple(v)
+
+
+def least_with_pairing(rep: SubgroupRep, u, low: int, high: int):
+    """The lexicographically least x in a subgroup of Z_m^n (k = 1) whose
+    pairing (u, x) mod m lies in [1, low] or [high, m), 0 <= low < high < m,
+    and that pairing.  Coordinates are fixed in order: with a prefix fixed,
+    coordinate i takes the values v_i mod e_i + k * e_i (e_i the diagonal
+    entry, k >= 0), and the later basis columns reach the pairings
+    c + k * s_i + g * Z_m, g = gcd(m, their pairings).  Modulo g the target
+    set is every residue, or [1, low] and [g - (m - high), g - 1], and
+    `_least_step` finds the least k reaching one.  O(n^2 + n log m) work."""
+    if rep.k != 1:
+        raise ValueError("the pairing is defined modulo m (k = 1) only")
+    m, n = rep.m, rep.n
+    cols = rep.hnf.columns()
+    s = [sum(a * b for a, b in zip(u, col)) % m for col in cols]
+    g = [m] * n
+    for i in range(n - 1, 0, -1):
+        g[i - 1] = gcd(g[i], s[i])
+    v, c = [0] * n, 0
+    for i, col in enumerate(cols):
+        k, gi = -(v[i] // col[i]), g[i]
+        if low < gi and m - high < gi:
+            windows = [(gi - m + high, gi - 1)] + ([(1, low)] if low else [])
+            steps = [t for lo, hi in windows
+                     if (t := _least_step(c + k * s[i], s[i], gi, lo, hi)) is not None]
+            if not steps:
+                raise ValueError("no element of the subgroup pairs into the set")
+            k += min(steps)
+        for l in range(i, n):
+            v[l] = (v[l] + k * col[l]) % m
+        c = (c + k * s[i]) % m
+    return tuple(v), c
+
+
+def _least_step(c: int, s: int, g: int, lo: int, hi: int) -> int | None:
+    """The least k >= 0 with lo <= (c + k * s) mod g <= hi, 0 <= lo <= hi < g;
+    None when there is none.  After shifting the window by -c, either it
+    holds 0 (k = 0), or the first multiple of a = s mod g past lo lands in
+    it, or it lies strictly between two multiples of a, and k * a - y * g in
+    [lo, hi] becomes y * (g mod a) mod a in [-hi mod a, -lo mod a]: the same
+    problem on (g mod a, a), as in Euclid's algorithm, O(log g) steps."""
+    lo, hi = (lo - c) % g, (hi - c) % g
+    if lo == 0 or lo > hi:
+        return 0
+    a, frames = s % g, []
+    while True:
+        if a == 0:
+            return None
+        k = -(-lo // a)
+        if k * a <= hi:
+            break
+        frames.append((lo, g, a))
+        a, g, lo, hi = g % a, a, -hi % a, -lo % a
+    for lo, g, a in reversed(frames):
+        k = -(-(lo + k * g) // a)  # the least k for the least y found below
+    return k
 
 
 def lift_by_m(rep: SubgroupRep) -> SubgroupRep:

@@ -13,7 +13,11 @@ in use: the weighted draw, the conjugate dot product, the transform of one
 QFT fiber, the zero, equality and overlap tests, the memo key, the dump
 format and the tally of counted terms (exact sums merge equal terms, float
 sums keep them in label order) are backend methods, and the primitives below
-never branch on the backend.  The float tests carry tolerances: zero within 1e-10 * sqrt(N), a
+never branch on the backend.  A draw walks the running totals up to a
+`threshold`, randrange(total) when exact and random() * total when float,
+which a caller with runs of equal weights can locate by division instead.
+The exact backend builds its field on first amplitude use.  The float tests
+carry tolerances: zero within 1e-10 * sqrt(N), a
 mass equal to its scale within 1e-6 relative, and amplitude products and
 squared overlaps equal within 1e-9 relative.
 """
@@ -24,6 +28,7 @@ import cmath
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm, sqrt
 from operator import attrgetter
 
@@ -87,14 +92,20 @@ class ExactBackend:
     def __init__(self, root_order: int):
         if root_order % 4:
             raise ValueError("root order must be divisible by 4 (the imaginary unit must exist)")
-        if root_order > ROOT_ORDER_LIMIT:
-            raise ResourceLimitError(
-                f"field root order {root_order} exceeds the hard limit {ROOT_ORDER_LIMIT}"
-            )
         self.root_order = root_order
-        self.field = CycloField(root_order)
-        self.one = self.field.one
-        self.zero = self.field.zero
+
+    @cached_property
+    def field(self) -> CycloField:
+        """The field, built on first amplitude use: a reduced round reads no
+        amplitude unless a capture hook asks for its payload."""
+        if self.root_order > ROOT_ORDER_LIMIT:
+            raise ResourceLimitError(
+                f"field root order {self.root_order} exceeds the hard limit {ROOT_ORDER_LIMIT}"
+            )
+        return CycloField(self.root_order)
+
+    one = cached_property(attrgetter("field.one"))
+    zero = cached_property(attrgetter("field.zero"))
 
     def root(self, exponent: int) -> Cyclotomic:
         return self.field.root(exponent)
@@ -179,16 +190,20 @@ class ExactBackend:
             )
         return coeffs[0]
 
+    def threshold(self, rng, total: int) -> int:
+        """The draw's threshold for an integer total: rng.randrange(total)."""
+        return rng.randrange(total)
+
     def draw(self, rng, masses) -> int:
         """Index drawn with probability proportional to its (rational) mass:
         fractional masses are scaled to integers over a common denominator and
-        the threshold comes from rng.randrange, so the draw is exact."""
+        the threshold comes from `threshold`, so the draw is exact."""
         total = sum(masses)
         if type(total) is not int:
             den = lcm(*[x.denominator for x in masses])
             masses = [int(x * den) for x in masses]
             total = sum(masses)
-        return _walk(rng.randrange(total), masses)
+        return _walk(self.threshold(rng, total), masses)
 
     def fourier(self, d: int, step: int):
         """The transform of one fiber of a dimension-d register, with phase
@@ -306,8 +321,15 @@ class FloatBackend:
     def mass_total(self, counted):
         return sum(w for w, k in counted for _ in range(k))
 
+    def threshold(self, rng, total) -> float:
+        """The draw's threshold: rng.random() * total, a float."""
+        try:
+            return rng.random() * total
+        except OverflowError:  # an integer total past the float range
+            raise ResourceLimitError("draw total exceeds the float range") from None
+
     def draw(self, rng, masses) -> int:
-        return _walk(rng.random() * sum(masses), masses)
+        return _walk(self.threshold(rng, sum(masses)), masses)
 
     def fourier(self, d: int, step: int):
         roots = [self.root(step * t) for t in range(d)]

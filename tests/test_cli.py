@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hspsim import cli as cli_module
 from hspsim import state as state_module
 from hspsim.cli import main
 
@@ -317,9 +318,20 @@ def test_signed_integer_arguments_still_parse(capsys):
     assert report["values"] == [6, 8]
 
 
-def test_field_above_the_root_order_limit_is_a_resource_limit(tmp_path, capsys):
-    # m = 10^9 + 7 asks for a field of root order 4m; it is refused before
-    # the cyclotomic polynomial is built
+def solve_with(monkeypatch, **options):
+    # the CLI has no switch for the round method or a capture hook, so its
+    # solver is wrapped
+    solve = cli_module.solve_hsp
+    monkeypatch.setattr(
+        cli_module, "solve_hsp", lambda oracle, **kw: solve(oracle, **kw, **options)
+    )
+
+
+def test_field_above_the_root_order_limit_is_a_resource_limit(tmp_path, capsys, monkeypatch):
+    # m = 10^9 + 7 asks for a field of root order 4m; a dense round reads
+    # amplitudes, and the field is refused before the cyclotomic polynomial
+    # is built
+    solve_with(monkeypatch, method="dense")
     inst = write(tmp_path, "inst.json",
                  {"m": 10**9 + 7, "n": 1, "hidden_subgroup_generators": []})
     code = main(["hsp", "solve", inst])
@@ -330,6 +342,43 @@ def test_field_above_the_root_order_limit_is_a_resource_limit(tmp_path, capsys):
         f"resource limit: field root order {4 * (10**9 + 7)} exceeds the hard limit "
         f"{state_module.ROOT_ORDER_LIMIT}"
     )
+
+
+@pytest.mark.parametrize(
+    "options",
+    [{}, {"method": "dense"}, {"capture": lambda event, payload: None}],
+    ids=["reduced", "dense", "captured"],
+)
+def test_reduced_exact_solve_builds_no_field(tmp_path, capsys, monkeypatch, options):
+    # Z_1031^3 needs root order 4124, above the limit: a reduced round reads
+    # no amplitude, so the exact solve runs; a dense round, or a capture hook
+    # asking for amplitudes, still meets the limit
+    solve_with(monkeypatch, **options)
+    gens = [[1, 2, 3], [0, 5, 7]]
+    inst = write(tmp_path, "inst.json", {"m": 1031, "n": 3, "hidden_subgroup_generators": gens})
+    code = main(["--backend", "exact", "hsp", "solve", inst])
+    captured = capsys.readouterr()
+    if not options:
+        assert code == 0
+        report = json.loads(captured.out)
+        assert report["order"] == 1031**2
+        return
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("resource limit: field root order 4124 exceeds")
+
+
+def test_float_draw_past_the_float_range_is_a_resource_limit(tmp_path, capsys):
+    # Z_m^6 with m = 2^61 - 1 and H trivial: the reduced round's weights total
+    # (2 m^6)^3, about 2^1101, which no float holds; the exact backend draws it
+    inst = write(tmp_path, "inst.json",
+                 {"m": 2**61 - 1, "n": 6, "hidden_subgroup_generators": []})
+    assert main(["--backend", "float", "hsp", "solve", inst]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("resource limit: draw total exceeds the float range")
+    code, report = run_cli(capsys, "hsp", "solve", inst)
+    assert code == 0 and report["order"] == 1
 
 
 def test_root_order_limit_admits_m_1009():

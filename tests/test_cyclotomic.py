@@ -142,6 +142,25 @@ def test_mixed_field_arithmetic_rejected():
         _ = a + b
 
 
+def test_field_cache_evicts_the_least_recently_used(monkeypatch):
+    monkeypatch.setattr(CycloField, "_instances", {})
+    first = CycloField(12)
+    x = first.root(1)
+    for order in range(13, 13 + CycloField.CACHE_SIZE):
+        CycloField(order)
+    assert len(CycloField._instances) == CycloField.CACHE_SIZE
+    assert 12 not in CycloField._instances
+    rebuilt = CycloField(12)
+    assert rebuilt is not first and rebuilt is CycloField(12)
+    # elements of the evicted instance still mix with the rebuilt one's
+    y = rebuilt.root(1)
+    assert x == y and (x + y) == y * 2 and x * y == rebuilt.root(2)
+    # a hit moves a field to the back: 13 is now the oldest entry
+    CycloField(14)
+    CycloField(99)
+    assert 13 not in CycloField._instances and 14 in CycloField._instances
+
+
 def test_scalar_multiplication_with_fractions():
     from fractions import Fraction
 

@@ -22,6 +22,7 @@ from hspsim.hsp import (
     solve_hsp,
     solve_hsp_zmn,
     verify_hidden,
+    _drawn_class,
     _flag_is_set,
     _root_order,
 )
@@ -32,6 +33,7 @@ from hspsim.lattice import (
     full_subgroup,
     perp_subgroup,
     subgroup_from_generators,
+    subgroup_order,
     trivial_subgroup,
 )
 from hspsim.state import (
@@ -45,6 +47,7 @@ from hspsim.state import (
     make_backend,
     measure_registers,
     prepare_zero,
+    _walk,
 )
 from hspsim import state as state_module
 from hspsim.blackbox import _swap_oracle
@@ -592,24 +595,42 @@ def round_instances(draw):
     m = draw(st.integers(2, 12))
     n = draw(st.integers(1, 3))
     vec = st.tuples(*[st.integers(0, m - 1)] * n)
-    return m, n, draw(st.lists(vec, max_size=3)), draw(vec)
+    return m, n, subgroup_from_generators(draw(st.lists(vec, max_size=3)), m, 1, n), draw(vec)
 
 
-@settings(max_examples=60, deadline=None)
+@st.composite
+def wide_round_instances(draw):
+    """m <= 200, n <= 3, a hidden subgroup H and a probe.  H is the
+    complement of a subgroup P drawn by up to three generators, the last
+    ones dropped until |P| <= 2000, so the reference's sorted list of P
+    stays small while m, and with it the flag runs, grows."""
+    m = draw(st.integers(2, 200))
+    n = draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(0, m - 1)] * n)
+    gens = draw(st.lists(vec, max_size=3))
+    perp = subgroup_from_generators(gens, m, 1, n)
+    while subgroup_order(perp) > 2000:
+        gens.pop()
+        perp = subgroup_from_generators(gens, m, 1, n)
+    return m, n, perp_subgroup(perp), draw(vec)
+
+
+@settings(max_examples=100, deadline=None)
 @given(
-    round_instances(),
+    st.one_of(round_instances(), wide_round_instances()),
     st.sampled_from(["exact", "float"]),
     st.sampled_from(["seeded", "deterministic"]),
     st.integers(0, 2**32),
 )
 def test_reduced_round_matches_per_class_reference(instance, backend_kind, mode, seed):
-    # the closed form (two amplitudes per index) against the original
-    # per-pairing-class round: same payloads, outputs, traces and RNG use,
-    # and the same outputs when nothing captures the payloads
-    m, n, gens, probe = instance
-    rep = subgroup_from_generators(gens, m, 1, n)
+    # the closed form (flag counts per run of classes, the threshold located
+    # among the runs, the least flagged element by prefix search) against
+    # the original per-pairing-class round at every threshold index: same
+    # payloads, outputs, traces and RNG use, and the same outputs when
+    # nothing captures the payloads
+    m, n, rep, probe = instance
     backend = make_backend(backend_kind, _root_order(m))
-    js = probe_schedule(m)
+    js = list(range(-1, m.bit_length()))
 
     def run(runner, capture=True):
         oracle = build_coset_oracle(rep)
@@ -632,6 +653,45 @@ def test_reduced_round_matches_per_class_reference(instance, backend_kind, mode,
     uncaptured = run(closed_form, capture=False)
     assert uncaptured[2] == []
     assert uncaptured[:2] + uncaptured[3:] == want[:2] + want[3:]
+
+
+def test_drawn_class_is_the_walk_over_the_listed_classes():
+    # integer and half-integer thresholds, through every run boundary and up
+    # to the total itself, where the walk falls back to the last class
+    for runs in (((1, 5), (3, 2), (0, 9), (2, 3)), ((1, 0), (3, 2), (2, 7), (2, 0)),
+                 ((1, 4), (0, 2), (3, 0), (1, 1))):
+        listed = [w for count, w in runs for _ in range(count)]
+        support = [i for i, w in enumerate(listed) if w]
+        total = sum(listed)
+        for t in [x / 2 for x in range(2 * total + 1)] + list(range(total + 1)):
+            want = support[_walk(t, [listed[i] for i in support])]
+            assert _drawn_class(t, runs) == want
+
+
+LARGE_M = [(1031, 1), (2**20, 1), (10**6 + 3, 1), (3**38, 1), (2**61 - 1, 1), (2**20, 2)]
+
+
+@pytest.mark.parametrize("m,k", LARGE_M, ids=[f"m{m}-k{k}" for m, k in LARGE_M])
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("mode", ["deterministic", "seeded"])
+def test_planted_solve_at_large_m_is_fast(m, k, backend, mode):
+    # a reduced round costs O(|js|) arithmetic plus lattice and pick work
+    # polynomial in log m, and the exact backend builds no field; a round
+    # linear in m takes tens of seconds at m = 2^20
+    q = m**k
+    rng = random.Random(m + k)
+    cases = [
+        [[rng.randrange(q) for _ in range(3)]],
+        [[rng.randrange(q) for _ in range(3)] for _ in range(2)],
+        [[2 * m ** (k - 1), 0, 4]],
+    ]
+    for gens in cases:
+        rep = subgroup_from_generators(gens, m, k, 3)
+        start = time.perf_counter()
+        res = solve_hsp(build_coset_oracle(rep), mode=mode, seed=7, backend=backend)
+        elapsed = time.perf_counter() - start
+        assert res.subgroup.hnf == rep.hnf
+        assert elapsed < 1.0, f"{gens}: {elapsed:.2f} s"
 
 
 # ---------------------------------------------------------------------------

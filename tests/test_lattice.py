@@ -18,6 +18,7 @@ from hspsim.lattice import (
     hermite_normal_form,
     invariant_factor_decomposition,
     join,
+    least_with_pairing,
     lift_by_m,
     matrix_from_json,
     matrix_to_json,
@@ -29,6 +30,7 @@ from hspsim.lattice import (
     subgroup_from_generators,
     subgroup_order,
     trivial_subgroup,
+    _least_step,
     _smith_with_inverse,
 )
 
@@ -482,6 +484,71 @@ def test_coset_element_is_the_sorted_coset(rep, data):
     assert [coset_element(kernel, m, start, r) for r in range(len(coset))] == coset
     with pytest.raises(ValueError):
         coset_element(kernel, m, start, len(coset))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_least_step_is_the_first_hit_of_brute_force(data):
+    g = data.draw(st.integers(1, 300))
+    c, s = data.draw(st.integers(-g, 2 * g)), data.draw(st.integers(-g, 2 * g))
+    lo = data.draw(st.integers(0, g - 1))
+    hi = data.draw(st.integers(lo, g - 1))
+    # (c + k * s) mod g repeats with period dividing g
+    want = next((k for k in range(g) if lo <= (c + k * s) % g <= hi), None)
+    assert _least_step(c, s, g, lo, hi) == want
+
+
+def test_least_step_handles_moduli_far_past_the_recursion_limit():
+    # consecutive Fibonacci numbers take Euclid's longest path
+    a, b = 1, 1
+    while b < 2**1600:
+        a, b = b, a + b
+    k = _least_step(0, a, b, b - 3, b - 1)
+    assert b - 3 <= k * a % b <= b - 1
+    assert all(not b - 3 <= t * a % b for t in range(min(k, 10**4)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_subgroups(), st.data())
+def test_least_with_pairing_is_the_least_flagged_element(rep, data):
+    m, n = rep.m, rep.n
+    u = data.draw(st.tuples(*[st.integers(0, m - 1)] * n))
+    high = data.draw(st.integers(1, m - 1))
+    low = data.draw(st.integers(0, high - 1))
+    hits = [y for y in sorted(enumerate_elements(rep))
+            if 1 <= pairing(u, y, m) <= low or pairing(u, y, m) >= high]
+    if not hits:
+        with pytest.raises(ValueError):
+            least_with_pairing(rep, u, low, high)
+    else:
+        assert least_with_pairing(rep, u, low, high) == (hits[0], pairing(u, hits[0], m))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_subgroups(exponents=(1, 2)), st.data())
+def test_reps_built_from_an_hnf_pass_the_outside_basis_checks(rep, data):
+    # grown and complement reps skip __post_init__; rebuilding each from its
+    # basis runs those checks
+    m, k, n = rep.m, rep.k, rep.n
+    vecs = data.draw(st.lists(st.tuples(*[st.integers(-m, 2 * m)] * n), max_size=3))
+    built = [join(rep, vecs), subgroup_from_generators(vecs, m, k, n)]
+    if k == 1:
+        built.append(perp_subgroup(rep))
+    for b in built:
+        assert SubgroupRep(b.m, b.k, b.n, b.hnf) == b
+
+
+def test_least_with_pairing_needs_exponent_one():
+    with pytest.raises(ValueError, match="k = 1"):
+        least_with_pairing(trivial_subgroup(2, 2, 2), (1, 0), 0, 2)
+
+
+def test_a_grown_full_group_is_the_shared_rep():
+    # its complement is then computed once and kept
+    full = full_subgroup(6, 1, 3)
+    assert subgroup_from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 6, 1, 3) is full
+    assert join(trivial_subgroup(6, 1, 3), [(1, 2, 3), (0, 1, 0), (0, 0, 5)]) is full
+    assert join(trivial_subgroup(6, 1, 3), [(2, 0, 0)]) is not full
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from hspsim.state import (
     ReflectStep,
     Register,
     RegisterLayout,
+    ResourceLimitError,
     SimulationError,
     SparseState,
     StatePrep,
@@ -743,3 +744,29 @@ def test_irrational_mass_faults():
         backend.mass([amp])
     with pytest.raises(SimulationError, match="irrational"):
         backend.mass_total([(backend.abs2(amp), 3)])
+
+
+def test_exact_field_is_built_on_first_amplitude_use():
+    # a backend above the root-order limit can be made and can draw; reading
+    # an amplitude is what builds the field, and that meets the limit
+    backend = make_backend("exact", 4 * 1031)
+    assert "field" not in vars(backend)
+    assert backend.threshold(random.Random(1), 10) == random.Random(1).randrange(10)
+    assert backend.draw(random.Random(1), [3, 0, 4]) in (0, 2)
+    for read in (lambda b: b.one, lambda b: b.zero, lambda b: b.root(1), lambda b: b.field):
+        with pytest.raises(ResourceLimitError, match="root order 4124 exceeds"):
+            read(backend)
+    small = make_backend("exact", 12)
+    assert small.one == small.field.one and small.root(3) == small.imag_unit()
+
+
+@pytest.mark.parametrize("kind", ["exact", "float"])
+def test_draw_takes_its_threshold_from_the_backend(kind):
+    backend = make_backend(kind, 4)
+    masses = [2, 0, 5, 1]
+    for seed in range(20):
+        t = backend.threshold(random.Random(seed), sum(masses))
+        acc = [sum(masses[: i + 1]) for i in range(len(masses))]
+        assert backend.draw(random.Random(seed), masses) == next(
+            i for i, a in enumerate(acc) if t < a
+        )
