@@ -200,15 +200,12 @@ def _swap_oracle(
             rename_register(s2, s2.layout.registers[0].name, "w2"),
         )
 
-    prep = StatePrep(("w1", "w2"), pair, "swap-pair")
+    prep = StatePrep(("w1", "w2"), pair)
 
     def cswap(x, v):
         return (v[1], v[0]) if x[0] == 1 else v
 
-    return HidingOracle(
-        2, 1, 1, regs, prep=prep, mult=cswap, mult_inv=cswap, name="cond-swap",
-        hidden=hidden,
-    )
+    return HidingOracle(2, 1, 1, regs, prep=prep, mult=cswap, hidden=hidden)
 
 
 def left_multiplied(state: SparseState, u: int, ctx: BlackboxContext) -> SparseState:
@@ -263,28 +260,15 @@ def abelian_presentation(gens, k_prep, ctx: BlackboxContext) -> Presentation:
     support = sorted(k_state.amps)
     classical = len(support) == 1 and support[0] == (arith.identity(),)
     if classical:
-        oracle = HidingOracle(
-            ctx.m, k, n, regs, label_fn=lambda x: (word(tuple(x)),), name="word"
-        )
+        oracle = HidingOracle(ctx.m, k, n, regs, label_fn=lambda x: (word(tuple(x)),))
     else:
-        inv_cache: dict[tuple[int, ...], int] = {}
-
-        def word_inv(x) -> int:
-            w = inv_cache.get(x)
-            if w is None:
-                w = arith.inverse(word(x))
-                inv_cache[x] = w
-            return w
-
         oracle = HidingOracle(
             ctx.m,
             k,
             n,
             regs,
-            prep=StatePrep(("val",), k_state, "subgroup"),
+            prep=StatePrep(("val",), k_state),
             mult=lambda x, v: (arith.mul(word(tuple(x)), v[0]),),
-            mult_inv=lambda x, v: (arith.mul(word_inv(tuple(x)), v[0]),),
-            name="word-coset",
         )
     res = solve_hsp(
         oracle,
@@ -328,8 +312,11 @@ class _TranslateStep(Step):
 
         return apply_classical_map(state, translate)
 
-    def count(self, stats) -> None:
-        stats.f_calls += 1
+    def count(self, stats, inverse=False) -> None:
+        if inverse:
+            stats.f_inverse_calls += 1
+        else:
+            stats.f_calls += 1
 
 
 def _phase_sampling_circuit(
@@ -528,7 +515,7 @@ def build_group_superposition(series: PolycyclicSeries, ctx: BlackboxContext) ->
     states = [ctx.identity_state() for _ in range(h + 1)]
     for i in range(h):
         states, _garbage, _ys = extend_superposition(states, series.elements[i], ctx)
-    return StatePrep(("val",), states[0], "group-superposition")
+    return StatePrep(("val",), states[0])
 
 
 def _series_state(ctx: BlackboxContext, elements: tuple[int, ...]) -> SparseState:

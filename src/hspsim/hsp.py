@@ -61,10 +61,14 @@ the steps' arithmetic in the steps' order, and is measured from sums over
 those classes; the post-pass state is built only for a capture hook or a
 caller that asks for it.  The Hadamard, phase and reflection steps run only
 in the literal pass the tests compare it with.
-Running a circuit records no query: `Circuit.count` is the one accounting
-path.  Every (probe, j) pass makes the same queries, so both
-rounds record theirs with `HidingOracle.record_passes`, which scales a tally
-of one pass circuit walked once per n.
+
+Queries run forwards only: the reflection's uncompute, prep^{-1}, is never
+simulated, and its inverse oracle and QFT calls are charged by counting prep
+in reverse (`Circuit.count(inverse=True)`).  Running a circuit records no
+query: `Circuit.count` is the one accounting path.  Every (probe, j) pass
+makes the same queries, so both rounds record theirs with
+`HidingOracle.record_passes`, which scales a tally of one pass circuit walked
+once per n.
 """
 
 from __future__ import annotations
@@ -226,15 +230,18 @@ _PASS_TALLY: dict[int, QueryStats] = {}
 
 
 class HidingOracle:
-    """Reversible realization of |x>|0> -> |x>|f(x)>.
+    """The query |x>|0> -> |x>|f(x)> as one forward map of value labels,
+    `mult(x, v)`.
 
-    Classical oracles are built from a label function and write the value into
-    digit registers additively (self-inverse on zeroed targets for dimension
-    2).  State-valued oracles supply an x-independent preparation of the value
-    block plus an x-controlled bijection of it.  An oracle built with `hidden`
-    is known to hide that subgroup and is not checked; a state-valued oracle
-    built without it finds it by an exact scan when it keeps the promise
-    (`hidden_known`), so reduced rounds run on it either way.
+    Classical oracles are built from a label function, and `mult` adds the
+    value into digit registers.  State-valued oracles supply an x-independent
+    preparation of the value block plus `mult`, which relabels that block into
+    f(x).  No inverse query is ever simulated: the amplification pass
+    uncomputes by a reflection about the prepared state and only counts its
+    inverse queries.  An oracle built with `hidden` is known to hide that
+    subgroup and is not checked; a state-valued oracle built without it finds
+    it by an exact scan when it keeps the promise (`hidden_known`), so
+    reduced rounds run on it either way.
     """
 
     def __init__(
@@ -247,8 +254,6 @@ class HidingOracle:
         label_fn=None,
         prep=None,
         mult=None,
-        mult_inv=None,
-        name: str = "",
         hidden: SubgroupRep | None = None,
     ):
         if hidden is not None and (hidden.m, hidden.k, hidden.n) != (m, k, n):
@@ -258,7 +263,6 @@ class HidingOracle:
             )
         self.m, self.k, self.n = m, k, n
         self.value_registers = tuple(value_registers)
-        self.name = name
         self.label_fn = label_fn
         self.prep = prep
         self._table = None
@@ -273,17 +277,11 @@ class HidingOracle:
                 fv = self.value(x)
                 return tuple((a + b) % d for a, b, d in zip(v, fv, dims))
 
-            def sub_write(x, v):
-                fv = self.value(x)
-                return tuple((a - b) % d for a, b, d in zip(v, fv, dims))
-
             self.mult = add_write
-            self.mult_inv = sub_write
+        elif mult is None:
+            raise ValueError("state-valued oracles need mult")
         else:
-            if mult is None or mult_inv is None:
-                raise ValueError("state-valued oracles need mult and mult_inv")
             self.mult = mult
-            self.mult_inv = mult_inv
 
     @property
     def is_classical(self) -> bool:
@@ -460,7 +458,6 @@ class HidingOracle:
                 self.n,
                 self.value_registers,
                 label_fn=lambda x: self.label_fn(section(x)),
-                name=f"{self.name}.section",
                 hidden=hidden,
             )
         return HidingOracle(
@@ -470,16 +467,18 @@ class HidingOracle:
             self.value_registers,
             prep=self.prep,
             mult=lambda x, v: self.mult(section(x), v),
-            mult_inv=lambda x, v: self.mult_inv(section(x), v),
-            name=f"{self.name}.section",
             hidden=hidden,
         )
 
 
 @dataclass(frozen=True)
 class OracleStep(Step):
+    """One forward query: prepare the value block if the oracle has a
+    preparation, then relabel it by `mult`.  It has no inverse step; a
+    reflection whose preparation holds it counts the inverse query with
+    `Circuit.count(inverse=True)`."""
+
     oracle: HidingOracle
-    inverse: bool = False
 
     def apply(self, state: SparseState) -> SparseState:
         o = self.oracle
@@ -496,29 +495,12 @@ class OracleStep(Step):
                 out[i] = val
             return tuple(out)
 
-        def bwd(lbl):
-            x = tuple(lbl[i] for i in xi)
-            v = tuple(lbl[i] for i in vi)
-            nv = o.mult_inv(x, v)
-            out = list(lbl)
-            for i, val in zip(vi, nv):
-                out[i] = val
-            return tuple(out)
-
-        if not self.inverse:
-            if o.prep is not None:
-                state = PrepStep(o.prep).apply(state)
-            return apply_classical_map(state, fwd)
-        state = apply_classical_map(state, bwd)
         if o.prep is not None:
-            state = PrepStep(o.prep, inverse=True).apply(state)
-        return state
+            state = PrepStep(o.prep).apply(state)
+        return apply_classical_map(state, fwd)
 
-    def inverted(self) -> "OracleStep":
-        return OracleStep(self.oracle, not self.inverse)
-
-    def count(self, stats):
-        if self.inverse:
+    def count(self, stats, inverse=False):
+        if inverse:
             stats.f_inverse_calls += 1
         else:
             stats.f_calls += 1
@@ -537,7 +519,6 @@ def build_coset_oracle(rep: SubgroupRep) -> HidingOracle:
         rep.n,
         regs,
         label_fn=lambda x: coset_representative(rep, x),
-        name="coset",
         hidden=rep,
     )
 
@@ -603,7 +584,7 @@ def flag_circuit(oracle: HidingOracle, probe, j: int) -> Circuit:
         f = round_flag(m, j, pairing, lbl[-2])
         return lbl[:-1] + (lbl[-1] ^ f,)
 
-    return Circuit.of(HadamardStep("b"), ClassicalStep(write_flag, write_flag, "flag"))
+    return Circuit.of(HadamardStep("b"), ClassicalStep(write_flag, write_flag))
 
 
 def round_prep_circuit(oracle: HidingOracle, probe, j: int) -> Circuit:

@@ -744,9 +744,9 @@ class Step:
     def inverted(self) -> "Step":
         raise NotImplementedError
 
-    def count(self, stats) -> None:
-        """Record the queries that one application of this step makes; most
-        steps make none."""
+    def count(self, stats, inverse: bool = False) -> None:
+        """Record the queries that one application of this step, or of its
+        inverse when `inverse` is set, makes; most steps make none."""
 
 
 @dataclass(frozen=True)
@@ -757,8 +757,8 @@ class QftStep(Step):
     def apply(self, state):
         return apply_qft(state, self.register, inverse=self.inverse)
 
-    def count(self, stats):
-        if self.inverse:
+    def count(self, stats, inverse=False):
+        if self.inverse != inverse:
             stats.qft_inverse_calls += 1
         else:
             stats.qft_calls += 1
@@ -784,97 +784,59 @@ class PhaseStep(Step):
 
     predicate: object
     turns: int = 1
-    tag: str = ""
 
     def apply(self, state):
         return conditional_phase_i(state, self.predicate, turns=self.turns)
 
     def inverted(self):
-        return PhaseStep(self.predicate, (-self.turns) % 4, self.tag)
+        return PhaseStep(self.predicate, (-self.turns) % 4)
 
 
 @dataclass(frozen=True)
 class ClassicalStep(Step):
     forward: object
     backward: object
-    tag: str = ""
 
     def apply(self, state):
         return apply_classical_map(state, self.forward)
 
     def inverted(self):
-        return ClassicalStep(self.backward, self.forward, self.tag)
+        return ClassicalStep(self.backward, self.forward)
 
 
 @dataclass(frozen=True)
 class PrepStep(Step):
-    """Inject a known state on a block of (all-zero) registers; the inverse
-    factors the block back out and returns it to zero, which is exactly the
-    behaviour of the preparing unitary's inverse on states where the block is
-    unentangled and equal to the prepared state (the only situations in which
-    this simulator applies it)."""
+    """Inject a known state on a block of (all-zero) registers.  It has no
+    inverse step: the reflection about a prepared state uncomputes it through
+    the operator identity, and counts the uncompute with
+    `Circuit.count(inverse=True)`."""
 
     prep: "StatePrep"
-    inverse: bool = False
 
     def apply(self, state):
-        regs = list(self.prep.registers)
-        idxs = [state.layout.index[r] for r in regs]
+        idxs = [state.layout.index[r] for r in self.prep.registers]
         psi = self.prep.state
-        if not self.inverse:
-            for lbl in state.amps:
-                if any(lbl[i] != 0 for i in idxs):
-                    raise SimulationError("prep target registers must be zero")
-            _check_support(len(state.amps) * len(psi.amps))
-            new = {}
-            for lbl, amp in state.amps.items():
-                base = list(lbl)
-                for plbl, pamp in psi.amps.items():
-                    for i, v in zip(idxs, plbl):
-                        base[i] = v
-                    new[tuple(base)] = amp * pamp
-            return SparseState(
-                state.layout, state.backend, state.scale * psi.scale, new
-            )
-        # inverse: the block must hold exactly the prepared state as a tensor
-        # factor; rebuild the rest with the block reset to zero.
-        block, rest = factor_split(state, regs)
-        # the block must match psi up to nothing at all: reject even a phase
-        # mismatch unless it is a pure global phase, which we transfer to rest
-        if not states_equal(block, _as_layout(psi, block.layout), up_to_phase=True):
-            raise SimulationError("inverse prep applied to a different block state")
-        ref = min(psi.amps)
-        pref = psi.amps[ref]
+        for lbl in state.amps:
+            if any(lbl[i] != 0 for i in idxs):
+                raise SimulationError("prep target registers must be zero")
+        _check_support(len(state.amps) * len(psi.amps))
         new = {}
         for lbl, amp in state.amps.items():
-            if tuple(lbl[i] for i in idxs) != ref:
-                continue
             base = list(lbl)
-            for i in idxs:
-                base[i] = 0
-            new[tuple(base)] = amp * state.backend.conj(pref)
-        new_scale = state.backend.mass(new.values())
-        return SparseState(state.layout, state.backend, new_scale, new)
-
-    def inverted(self):
-        return PrepStep(self.prep, not self.inverse)
-
-
-def _as_layout(state: SparseState, layout: RegisterLayout) -> SparseState:
-    if len(layout) != len(state.layout):
-        raise ValueError("layout width mismatch")
-    return SparseState(layout, state.backend, state.scale, dict(state.amps))
+            for plbl, pamp in psi.amps.items():
+                for i, v in zip(idxs, plbl):
+                    base[i] = v
+                new[tuple(base)] = amp * pamp
+        return SparseState(state.layout, state.backend, state.scale * psi.scale, new)
 
 
 class ReflectStep(Step):
     """The operator prep . S0(i^turns) . prep^{-1} = I + (i^turns - 1)|Psi><Psi|
     with Psi = prep|0>: a phase reflection about the prepared state.
 
-    Packaging the three factors into one step keeps the circuit applicable even
-    when prep contains a state-injection step (whose inverse only acts on
-    states where the injected block factors out, which mid-reflection states
-    do not); the operator identity makes the result equal to the literal
-    three-step composition on every input.
+    It is applied by that identity, which equals the literal three-step
+    composition on every input, so prep^{-1} is never run and prep needs no
+    inverse steps; `count` charges the uncompute as prep counted in reverse.
 
     A caller that already holds Psi passes it as psi, and prep is then never
     run; otherwise Psi is computed from |0> on first use.
@@ -883,7 +845,6 @@ class ReflectStep(Step):
     def __init__(self, prep: "Circuit", turns: int = 1, psi: SparseState | None = None):
         self.prep = prep
         self.turns = turns % 4
-        self._prep_inverse = prep.inverse()
         self._psi_cache: dict = {}
         if psi is not None:
             self._psi_cache[self._key(psi.layout, psi.backend)] = psi
@@ -900,9 +861,10 @@ class ReflectStep(Step):
             self._psi_cache[key] = psi
         return psi
 
-    def count(self, stats):
-        # one inverse and one forward pass of prep per application
-        self._prep_inverse.count(stats)
+    def count(self, stats, inverse=False):
+        # one inverse and one forward pass of prep per application, the
+        # inverse reflection included
+        self.prep.count(stats, inverse=True)
         self.prep.count(stats)
 
     def apply(self, state: SparseState) -> SparseState:
@@ -944,7 +906,9 @@ class ReflectStep(Step):
 
 @dataclass(frozen=True)
 class Circuit:
-    """An invertible sequence of primitive steps."""
+    """A sequence of primitive steps.  `inverse()` needs every step to have
+    an `inverted()`; a preparation or oracle step has none, so a circuit that
+    holds one is only run forwards and counted either way."""
 
     steps: tuple[Step, ...]
 
@@ -966,12 +930,13 @@ class Circuit:
             state = s.apply(state)
         return state
 
-    def count(self, stats) -> None:
-        """Record the queries of one run without simulating it.  This walk is
-        the one query-accounting path: run() records nothing, so a caller that
+    def count(self, stats, inverse: bool = False) -> None:
+        """Record the queries of one run, or of one run of the inverse circuit
+        when `inverse` is set, without simulating it.  This walk is the one
+        query-accounting path: run() records nothing, so a caller that
         simulates a circuit counts it here."""
-        for s in self.steps:
-            s.count(stats)
+        for s in reversed(self.steps) if inverse else self.steps:
+            s.count(stats, inverse)
 
 
 class StatePrep:
@@ -982,10 +947,9 @@ class StatePrep:
     computed on the first read of `state`, so a preparation that no simulated
     step ever applies never builds its state."""
 
-    def __init__(self, registers, state, tag: str = ""):
+    def __init__(self, registers, state):
         self.registers = tuple(registers)
         self._state = state
-        self.tag = tag
 
     @property
     def state(self) -> SparseState:
@@ -1003,7 +967,8 @@ def amplitude_amplify(prep: Circuit, good) -> Circuit:
 
     When the good squared amplitude of prep|0> is exactly one half, the result
     has exactly zero mass outside the good labels; when it is zero, it stays
-    zero.  The trailing three factors are applied as a single reflection about
-    prep|0> (the identical operator).
+    zero.  The trailing three factors are one reflection about prep|0> (the
+    identical operator), so the pass runs prep forwards only and counts the
+    inverse prep without running it.
     """
-    return Circuit.of(prep, PhaseStep(good, 1, "good"), ReflectStep(prep, 1))
+    return Circuit.of(prep, PhaseStep(good, 1), ReflectStep(prep, 1))

@@ -487,9 +487,10 @@ def _zoo_presentation_solves(amp_backend):
     """Series, order, derived series and decomposition modulo the derived
     subgroup on every zoo group, deterministic, with the abelian presentations'
     solves and every dense round recorded.  Returns (the state-valued
-    word-coset oracles solved, with their contexts; the oracle names the dense
-    round ran on)."""
-    solved, dense_names = [], []
+    word-coset oracles solved, with their contexts; the oracles the dense
+    round ran on).  A word-coset oracle is the state-valued one on the
+    "val" register; the swap test's oracle holds two registers."""
+    solved, dense_oracles = [], []
     real_solve, real_dense = blackbox.solve_hsp, hsp_module._dense_round
 
     def recording_solve(oracle, **kwargs):
@@ -497,7 +498,7 @@ def _zoo_presentation_solves(amp_backend):
         return real_solve(oracle, **kwargs)
 
     def recording_dense(oracle, *args):
-        dense_names.append(oracle.name)
+        dense_oracles.append(oracle)
         return real_dense(oracle, *args)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -511,14 +512,18 @@ def _zoo_presentation_solves(amp_backend):
             assert group_order(series, ctx) == expected, name
             chain = derived_series(backend, m, ctx)
             abelian_factor_decomposition(backend, chain[1], m, ctx)
-    return [(o, q) for o, q in solved if o.name == "word-coset"], dense_names
+    word_coset = [
+        (o, q) for o, q in solved
+        if not o.is_classical and [r.name for r in o.value_registers] == ["val"]
+    ]
+    return word_coset, dense_oracles
 
 
 @pytest.mark.parametrize("amp_backend", ["exact", "float"])
 def test_zoo_presentations_run_no_dense_round(amp_backend):
-    oracles, dense_names = _zoo_presentation_solves(amp_backend)
+    oracles, dense_oracles = _zoo_presentation_solves(amp_backend)
     assert oracles
-    assert dense_names == []
+    assert dense_oracles == []
 
 
 @pytest.mark.parametrize("amp_backend", ["exact", "float"])

@@ -7,6 +7,18 @@ from hspsim import state as state_module
 from hspsim.cli import main
 
 
+def child_env():
+    """The environment for a `python -m hspsim.cli` child: the package source
+    first on PYTHONPATH, so the child imports it without an install."""
+    import os
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -478,6 +490,7 @@ def test_console_script_entry_point():
         [sys.executable, "-m", "hspsim.cli", "--help"],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert out.returncode == 0
     assert "gcd-combine" in out.stdout
@@ -503,6 +516,7 @@ def test_closed_pipe_keeps_the_exit_code(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "hspsim.cli", "hsp", "solve", inst, "--assert-exact"],
             stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            env=child_env(),
         )
     finally:
         os.close(write_end)
