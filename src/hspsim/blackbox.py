@@ -30,7 +30,6 @@ from .lattice import (
     full_subgroup,
     invariant_factor_decomposition,
     trivial_subgroup,
-    xgcd,
 )
 from .state import (
     Circuit,
@@ -437,11 +436,12 @@ def _discrete_ratio(target: int, base: int, m: int) -> int:
     all-zero branch)."""
     if target % m == 0:
         return 0
-    g, inv, _ = xgcd(base % m, m)
+    base %= m
+    g = gcd(base, m)
     if target % g:
         raise ArithmeticError("no discrete ratio; gcd bookkeeping is broken")
     mm = m // g
-    return ((target // g) * (inv % mm)) % mm
+    return (target // g) * pow(base // g, -1, mm) % mm
 
 
 def _extend_superposition_coherent(copies, u: int, ctx: BlackboxContext):

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from math import gcd
 
-from .lattice import xgcd
-
 
 def _small_prime_divisors(n: int, bound: int) -> list[int]:
     """Prime divisors of n that are strictly below bound."""
@@ -34,7 +32,7 @@ def _crt(residues: list[int], moduli: list[int]) -> tuple[int, int]:
     x, mod = 0, 1
     for r, p in zip(residues, moduli):
         # moduli are distinct primes, so the running modulus is invertible mod p
-        inv = xgcd(mod % p, p)[1]
+        inv = pow(mod, -1, p)
         t = ((r - x) * inv) % p
         x += mod * t
         mod *= p
@@ -59,7 +57,7 @@ def _combine_pair_stats(z1: int, z2: int, m: int) -> tuple[int, int]:
     residues = []
     for p in primes:
         if a % p:
-            inv = xgcd(a % p, p)[1]
+            inv = pow(a, -1, p)
             residues.append(((1 - b) * inv) % p)
         else:
             # p divides a, so p cannot divide b; any residue class works

@@ -32,21 +32,21 @@ arithmetic plus O(n^2 log m) lattice and pick work, and the exact backend
 builds its field only when an amplitude is read (a capture hook's payload).
 
 The reduced round needs the hidden subgroup, so method="auto" runs it
-exactly when the oracle knows that subgroup (`hidden_known`).  Coset oracles
-(`build_coset_oracle`) and the swap test's oracle on its promise declare the
-subgroup they hide, so a reduced solve on them reads no label table.  When
-an exponent-k oracle's subgroup H is known, the composed oracle of each
-divide-by-m step declares the preimage of H under its section, which agrees
-modulo the subgroup found so far with a linear map, so reduced solves read
-no table at any k.  Other classical oracles read their subgroup off their
-label table, built on first use.  Other state-valued oracles, such as those
-of abelian presentations modulo a nontrivial subgroup, find it by one exact
-scan of f over Z_q^n: each f(x) is the value block's state relabelled by
+exactly when the oracle knows that subgroup (`hidden_known`).  Every oracle
+is one forward map `mult` of value labels; a classical f given as
+`label_fn` only builds it.  Coset oracles (`build_coset_oracle`) and the
+swap test's oracle on its promise declare the subgroup they hide, so a
+reduced solve on them evaluates no f.  When an exponent-k oracle's subgroup
+H is known, the composed oracle of each divide-by-m step declares the
+preimage of H under its section, which agrees modulo the subgroup found so
+far with a linear map, so reduced solves evaluate no f at any k.  Every
+other oracle, classical or state-valued, finds its subgroup by one exact
+scan of f over Z_q^n: each f(x) is the value block relabelled by
 mult(x, .), states are compared by exact equality, and the scan accepts only
 when their classes are the cosets of a subgroup and values on distinct
-cosets are orthogonal.  An oracle off that promise keeps its hidden subgroup
-unknown and runs the dense round, which stays the reference every reduced
-path is checked against.
+cosets are orthogonal.  `verify_hidden` runs the same scan.  An oracle off
+that promise keeps its hidden subgroup unknown and runs the dense round,
+which stays the reference every reduced path is checked against.
 
 The Fourier-sampled state Phi (QFT, f, QFT from |0>) depends only on the
 oracle and the amplitude backend, so the dense round computes it once per
@@ -233,15 +233,15 @@ class HidingOracle:
     """The query |x>|0> -> |x>|f(x)> as one forward map of value labels,
     `mult(x, v)`.
 
-    Classical oracles are built from a label function, and `mult` adds the
-    value into digit registers.  State-valued oracles supply an x-independent
-    preparation of the value block plus `mult`, which relabels that block into
-    f(x).  No inverse query is ever simulated: the amplification pass
-    uncomputes by a reflection about the prepared state and only counts its
-    inverse queries.  An oracle built with `hidden` is known to hide that
-    subgroup and is not checked; a state-valued oracle built without it finds
-    it by an exact scan when it keeps the promise (`hidden_known`), so
-    reduced rounds run on it either way.
+    `mult` relabels the value block into f(x): the block is the prepared
+    state `prep` when the oracle has one, else |0> on the value registers.
+    `label_fn=f` is a short way to build `mult` for a classical f: it adds
+    f(x) into the value digits.  No inverse query is ever simulated: the
+    amplification pass uncomputes by a reflection about the prepared state
+    and only counts its inverse queries.  An oracle built with `hidden` is
+    known to hide that subgroup and is not checked; one built without it
+    finds its subgroup by one exact scan when it keeps the promise
+    (`hidden_known`), so reduced rounds run on it either way.
     """
 
     def __init__(
@@ -263,77 +263,51 @@ class HidingOracle:
             )
         self.m, self.k, self.n = m, k, n
         self.value_registers = tuple(value_registers)
-        self.label_fn = label_fn
         self.prep = prep
-        self._table = None
         self._hidden = hidden
         self._scanned = False
         self._sampled: dict = {}
         self._tallies: dict = {}
         if label_fn is not None:
+            if mult is not None:
+                raise ValueError("give label_fn or mult, not both")
             dims = [r.dim for r in self.value_registers]
 
-            def add_write(x, v):
-                fv = self.value(x)
-                return tuple((a + b) % d for a, b, d in zip(v, fv, dims))
+            def mult(x, v):
+                return tuple((a + b) % d for a, b, d in zip(v, label_fn(x), dims))
 
-            self.mult = add_write
         elif mult is None:
-            raise ValueError("state-valued oracles need mult")
-        else:
-            self.mult = mult
-
-    @property
-    def is_classical(self) -> bool:
-        return self.label_fn is not None
+            raise ValueError("an oracle needs label_fn or mult")
+        self.mult = mult
 
     @property
     def modulus(self) -> int:
         return self.m**self.k
 
-    def value(self, x) -> tuple[int, ...]:
-        tab = self.table()
-        return tab[tuple(x)]
-
-    def table(self) -> dict:
-        if not self.is_classical:
-            raise ValueError("state-valued oracle has no label table")
-        if self._table is None:
-            q = self.modulus
-            _check_support(q**self.n)
-            self._table = {
-                x: tuple(self.label_fn(x)) for x in _cartesian(range(q), repeat=self.n)
-            }
-        return self._table
-
     @property
     def hidden_known(self) -> bool:
         """Whether hidden_subgroup() is available without simulating a query:
-        supplied at construction, readable from a classical label table, or
-        found by one exact scan of a state-valued oracle that keeps the
-        hiding promise.  The scan runs on first use and its outcome is kept."""
-        if self._hidden is None and not self.is_classical and not self._scanned:
+        declared at construction, or found by one exact scan of an oracle
+        that keeps the hiding promise.  The scan runs on first use and its
+        outcome is kept."""
+        if self._hidden is None and not self._scanned:
             self._scanned = True
             self._hidden = self._scan_states()
-        return self._hidden is not None or self.is_classical
+        return self._hidden is not None
 
     def hidden_subgroup(self) -> SubgroupRep:
-        """The subgroup this oracle hides: the one it was built with, the one
-        read off the fiber of f over f(0), or the one its exact scan found."""
+        """The subgroup this oracle hides: the one it was built with, or the
+        one its exact scan found."""
         if not self.hidden_known:
-            raise ValueError("state-valued oracle breaks the hiding promise")
-        if self._hidden is None:
-            tab = self.table()
-            f0 = tab[(0,) * self.n]
-            gens = [x for x, v in tab.items() if v == f0]
-            self._hidden = subgroup_from_generators(gens, self.m, self.k, self.n)
+            raise ValueError("the oracle breaks the hiding promise")
         return self._hidden
 
     def _scan_states(self) -> SubgroupRep | None:
-        """The hidden subgroup of a state-valued oracle, from one exact scan
-        of f over Z_q^n; None when f breaks the promise.
+        """The subgroup this oracle hides, from one exact scan of f over
+        Z_q^n whether or not it declares one; None when f breaks the promise.
 
-        f(x) is the value block's state relabelled by mult(x, .): amplitudes
+        f(x) is the value block's state relabelled by mult(x, .), a basis
+        state when the oracle has no preparation.  Amplitudes
         are copied, never computed, so states compare by exact equality on
         either backend (equal up to a phase is not enough: a phase varying
         with x moves the sampled distribution).  The promise holds when the x
@@ -448,18 +422,9 @@ class HidingOracle:
     def composed_with(self, section) -> "HidingOracle":
         """The oracle x -> f(section(x)) over Z_m^n, for a `SectionMap` built
         for a subgroup of the hidden one.  When this oracle's hidden subgroup
-        is already known (declared, scanned or read), the composed oracle
-        declares its preimage under the section."""
+        is already known (declared or scanned), the composed oracle declares
+        its preimage under the section."""
         hidden = None if self._hidden is None else section.preimage(self._hidden)
-        if self.is_classical:
-            return HidingOracle(
-                self.m,
-                1,
-                self.n,
-                self.value_registers,
-                label_fn=lambda x: self.label_fn(section(x)),
-                hidden=hidden,
-            )
         return HidingOracle(
             self.m,
             1,
@@ -508,9 +473,9 @@ class OracleStep(Step):
 
 def build_coset_oracle(rep: SubgroupRep) -> HidingOracle:
     """Test oracle hiding exactly the given subgroup: f maps x to the canonical
-    representative of its coset, written into n digit registers.  The oracle
-    declares rep as its hidden subgroup, so its label table is built only when
-    a value is read (dense rounds, verify_hidden)."""
+    representative of its coset, added into n digit registers.  The oracle
+    declares rep as its hidden subgroup, so f is evaluated only when a query
+    is simulated (dense rounds) or the oracle is scanned (verify_hidden)."""
     q = rep.modulus
     regs = [Register(f"v{i}", "digit", q) for i in range(rep.n)]
     return HidingOracle(
@@ -524,16 +489,9 @@ def build_coset_oracle(rep: SubgroupRep) -> HidingOracle:
 
 
 def verify_hidden(oracle: HidingOracle, rep: SubgroupRep) -> bool:
-    """Machine check that a classical oracle is constant exactly on the cosets
-    of the claimed subgroup (hence that the subgroup is the hidden one)."""
-    tab = oracle.table()
-    reps = {}
-    for x, v in tab.items():
-        r = coset_representative(rep, x)
-        if tab[r] != v:
-            return False
-        reps[r] = v
-    return len(set(reps.values())) == len(reps)
+    """Machine check that the oracle hides exactly the claimed subgroup: the
+    exact scan, run even when the oracle declares a subgroup, finds rep."""
+    return oracle._scan_states() == rep
 
 
 # ---------------------------------------------------------------------------
@@ -780,7 +738,7 @@ def _reduced_round(oracle, probe, js, mode, rng, backend, stats, capture):
     are integers, so the normalization check is exact and the sampling weights
     are the same on both backends.  Backend amplitudes and the per-class
     payload lists are built only for a capture hook.  The hidden subgroup
-    comes from the oracle: declared, scanned, or read off its label table.
+    comes from the oracle: declared, or found by its exact scan.
 
     Nothing is enumerated.  The pairing maps H-perp onto d * Z_m, so the
     classes are the multiples of d, each of |H-perp| * d / m elements, and
@@ -903,8 +861,8 @@ def hsp_round(
     use_reduced = method == "reduced" or (method == "auto" and oracle.hidden_known)
     if use_reduced and not oracle.hidden_known:
         raise ValueError(
-            "reduced rounds need the hidden subgroup, and this state-valued "
-            "oracle breaks the hiding promise"
+            "reduced rounds need the hidden subgroup, and this oracle breaks "
+            "the hiding promise"
         )
     runner = _reduced_round if use_reduced else _dense_round
     return runner(oracle, probe, js, mode, rng, backend, stats, capture)

@@ -514,7 +514,7 @@ def _zoo_presentation_solves(amp_backend):
             abelian_factor_decomposition(backend, chain[1], m, ctx)
     word_coset = [
         (o, q) for o, q in solved
-        if not o.is_classical and [r.name for r in o.value_registers] == ["val"]
+        if o.prep is not None and [r.name for r in o.value_registers] == ["val"]
     ]
     return word_coset, dense_oracles
 

@@ -29,6 +29,7 @@ from hspsim.hsp import (
 from hspsim.lattice import (
     IntMatrix,
     SubgroupRep,
+    coset_representative,
     enumerate_elements,
     full_subgroup,
     perp_subgroup,
@@ -64,22 +65,30 @@ def rep_of(rows, m, k=1):
 # Oracles
 
 
+def label_table(oracle):
+    """f over all of Z_q^n for an oracle without a preparation: each query
+    relabels the value registers' |0>."""
+    zero = (0,) * len(oracle.value_registers)
+    return {x: oracle.mult(x, zero)
+            for x in cartesian(range(oracle.modulus), repeat=oracle.n)}
+
+
 def test_coset_oracle_constant_for_full_group():
     oracle = build_coset_oracle(full_subgroup(6, 1, 2))
-    values = set(oracle.table().values())
+    values = set(label_table(oracle).values())
     assert len(values) == 1
 
 
 def test_coset_oracle_injective_for_trivial():
     oracle = build_coset_oracle(trivial_subgroup(6, 1, 2))
-    tab = oracle.table()
+    tab = label_table(oracle)
     assert len(set(tab.values())) == len(tab)
 
 
 def test_coset_oracle_hides_exactly():
     rep = subgroup_from_generators([(2, 3)], 6, 1, 2)
     oracle = build_coset_oracle(rep)
-    tab = oracle.table()
+    tab = label_table(oracle)
     assert len(set(tab.values())) == 6  # index of the subgroup
     pts = lattice_points(rep.hnf.to_lists(), 6, 2)
     for x in tab:
@@ -95,23 +104,31 @@ def test_verify_hidden():
     assert verify_hidden(oracle, rep)
     assert not verify_hidden(oracle, full_subgroup(6, 1, 2))
     assert not verify_hidden(oracle, trivial_subgroup(6, 1, 2))
+    # the check scans f itself, so an oracle that declares the wrong subgroup
+    # is rejected for it and verified for the one it hides
+    wrong = HidingOracle(6, 1, 2, oracle.value_registers,
+                         label_fn=lambda x: coset_representative(rep, x),
+                         hidden=trivial_subgroup(6, 1, 2))
+    assert not verify_hidden(wrong, trivial_subgroup(6, 1, 2))
+    assert verify_hidden(wrong, rep)
 
 
 def test_label_table_respects_the_support_limit(monkeypatch):
-    # the q^n table faults before building an entry above the limit, while a
-    # reduced solve on the declared subgroup, which reads no table, still runs
+    # the scan over Z_q^n faults before evaluating f above the limit, while a
+    # reduced solve on the declared subgroup, which evaluates no f, still runs
     rep = subgroup_from_generators([(1, 2)], 3, 1, 2)
     oracle = build_coset_oracle(rep)
-    label_fn, calls = oracle.label_fn, []
-    oracle.label_fn = lambda x: calls.append(x) or label_fn(x)
+    mult, calls = oracle.mult, []
+    oracle.mult = lambda x, v: calls.append(x) or mult(x, v)
     monkeypatch.setattr(state_module, "SUPPORT_LIMIT", 8)
     with pytest.raises(SimulationError):
-        oracle.table()
+        verify_hidden(oracle, rep)
     assert calls == []
     res = solve_hsp_zmn(oracle, mode="deterministic", method="reduced")
     assert res.subgroup.hnf == rep.hnf
     monkeypatch.setattr(state_module, "SUPPORT_LIMIT", 9)
-    assert len(oracle.table()) == 9
+    assert verify_hidden(oracle, rep)
+    assert len(calls) == 9
 
 
 def test_hand_rolled_oracle_agrees_with_packaged():
@@ -169,6 +186,12 @@ def test_state_valued_oracle_needs_mult():
         HidingOracle(2, 1, 1, [Register("v0", "digit", 2)])
 
 
+def test_oracle_takes_label_fn_or_mult_not_both():
+    with pytest.raises(ValueError):
+        HidingOracle(2, 1, 1, [Register("v0", "digit", 2)],
+                     label_fn=lambda x: x, mult=lambda x, v: v)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_one_pass_charges_its_uncompute_as_inverse_queries(n):
     # prep = QFT^n, f, QFT^n runs forwards twice and is uncomputed once
@@ -214,6 +237,12 @@ def _valued_oracle(values, dim):
                         mult=lambda x, v: ((v[0] + values[x[0]]) % dim,))
 
 
+def _label_oracle(values, dim):
+    """The same f as `_valued_oracle`, built from its label function."""
+    return HidingOracle(len(values), 1, 1, [Register("v0", "digit", dim)],
+                        label_fn=lambda x: (values[x[0]],))
+
+
 @pytest.mark.parametrize("values,hnf", [
     ([0, 1, 2, 0, 1, 2], ((3,),)),
     ([0, 0, 0, 0], ((1,),)),
@@ -223,12 +252,78 @@ def _valued_oracle(values, dim):
     ([0, 0, 1, 1], None),  # the fiber over f(0) is no subgroup
 ], ids=["order-3", "full", "trivial", "shared-value", "split-coset", "no-subgroup"])
 def test_scan_finds_the_hidden_subgroup_exactly_on_the_promise(values, hnf):
-    oracle = _valued_oracle(values, 4)
-    assert oracle.hidden_known == (hnf is not None)
-    if hnf is not None:
-        assert oracle.hidden_subgroup().hnf.data == hnf
-        res = solve_hsp_zmn(oracle, mode="deterministic")
-        assert res.subgroup.hnf.data == hnf
+    # both constructions, mult= and label_fn=, are one oracle kind
+    for make in (_valued_oracle, _label_oracle):
+        oracle = make(values, 4)
+        assert oracle.hidden_known == (hnf is not None)
+        if hnf is not None:
+            assert oracle.hidden_subgroup().hnf.data == hnf
+            res = solve_hsp_zmn(oracle, mode="deterministic")
+            assert res.subgroup.hnf.data == hnf
+            continue
+        # off the promise "auto" runs the dense round, the reference
+        for mode, seed in (("deterministic", None), ("seeded", 5)):
+            auto, dense = (
+                solve_hsp_zmn(make(values, 4), mode=mode, seed=seed, method=method)
+                for method in ("auto", "dense")
+            )
+            assert auto.subgroup.hnf == dense.subgroup.hnf
+            assert [t.to_dict() for t in auto.trace] == [t.to_dict() for t in dense.trace]
+            assert auto.stats.to_dict() == dense.stats.to_dict()
+
+
+def _hides(f, m, n):
+    """Brute force: f hides its fiber H over f(0) exactly when f(x) = f(y)
+    holds iff x - y lies in H (closure under addition follows).  Returns H
+    as a set, or None."""
+    xs = list(cartesian(range(m), repeat=n))
+    fiber = {x for x in xs if f[x] == f[(0,) * n]}
+    for x in xs:
+        for y in xs:
+            diff = tuple((a - b) % m for a, b in zip(x, y))
+            if (f[x] == f[y]) != (diff in fiber):
+                return None
+    return fiber
+
+
+@st.composite
+def coset_maps(draw):
+    """A coset map of a random subgroup of Z_m^n (m <= 6, n <= 2) with its
+    values relabelled, and sometimes one value perturbed."""
+    m, n = draw(st.integers(2, 6)), draw(st.integers(1, 2))
+    rows = draw(st.sampled_from(enumerate_subgroup_hnfs(m, n)))
+    rep = SubgroupRep(m, 1, n, IntMatrix.from_rows(rows))
+    xs = list(cartesian(range(m), repeat=n))
+    dim = m**n
+    labels = draw(st.permutations(range(dim)))
+    cosets = {}
+    f = {x: labels[cosets.setdefault(coset_representative(rep, x), len(cosets))]
+         for x in xs}
+    if draw(st.booleans()):
+        f[draw(st.sampled_from(xs))] = draw(st.integers(0, dim - 1))
+    return m, n, dim, rep, f
+
+
+@settings(max_examples=60, deadline=None)
+@given(coset_maps(), st.booleans())
+def test_scan_agrees_with_a_brute_force_hiding_check(inst, by_label):
+    m, n, dim, rep, f = inst
+    regs = [Register("v0", "digit", dim)]
+    if by_label:
+        oracle = HidingOracle(m, 1, n, regs, label_fn=lambda x: (f[tuple(x)],))
+    else:
+        oracle = HidingOracle(m, 1, n, regs,
+                              mult=lambda x, v: ((v[0] + f[tuple(x)]) % dim,))
+    hidden = _hides(f, m, n)
+    assert oracle.hidden_known == (hidden is not None)
+    assert verify_hidden(oracle, rep) == (hidden == set(enumerate_elements(rep)))
+    if hidden is None:
+        with pytest.raises(ValueError):
+            oracle.hidden_subgroup()
+    else:
+        found = oracle.hidden_subgroup()
+        assert set(enumerate_elements(found)) == hidden
+        assert verify_hidden(oracle, found)
 
 
 @pytest.mark.parametrize("backend_kind", ["exact", "float"])
@@ -768,14 +863,14 @@ def test_auto_runs_the_reduced_round_exactly_when_the_hidden_subgroup_is_known(
         return real_dense(oracle, *args)
 
     monkeypatch.setattr(hsp_module, "_dense_round", recording)
-    # small classical coset oracles, declared or read off the label table
+    # small classical coset oracles, declared or found by the exact scan
     for m, n in [(2, 1), (2, 2), (3, 2), (4, 2)]:
         for rows in enumerate_subgroup_hnfs(m, n):
             rep = rep_of([list(r) for r in rows], m)
             declared = build_coset_oracle(rep)
-            table_read = HidingOracle(m, 1, n, declared.value_registers,
-                                      label_fn=declared.label_fn)
-            for oracle in (declared, table_read):
+            scanned = HidingOracle(m, 1, n, declared.value_registers,
+                                   label_fn=lambda x, rep=rep: coset_representative(rep, x))
+            for oracle in (declared, scanned):
                 res = solve_hsp_zmn(oracle, mode="seeded", seed=1)
                 assert res.subgroup.hnf.data == rows
     # state-valued swap oracles built without their hidden subgroup, on the
@@ -815,21 +910,21 @@ def test_query_accounting_matches_the_schedule():
                                    (4, 2, 2)])
 def test_reduced_solve_reads_no_label_table(m, k, n):
     # a coset oracle declares its subgroup, and the composed oracles of a
-    # k >= 2 solve declare its preimage, so a reduced solve reads no label at
+    # k >= 2 solve declare its preimage, so a reduced solve evaluates no f at
     # any k; the same label function behind an oracle that does not declare
-    # it (the subgroups then read off the tables) is the reference
+    # it (the subgroups then found by the exact scan) is the reference
     hnfs = enumerate_subgroup_hnfs(m, n, k)
     for rows in random.Random(m * 10 + k).sample(hnfs, 3):
         rep = SubgroupRep(m, k, n, IntMatrix.from_rows(rows))
         for mode, seed in (("deterministic", None), ("seeded", 11)):
             declared = build_coset_oracle(rep)
-            label_fn, calls = declared.label_fn, []
-            declared.label_fn = lambda x: calls.append(x) or label_fn(x)
-            table_read = HidingOracle(m, k, n, declared.value_registers,
-                                      label_fn=label_fn)
+            mult, calls = declared.mult, []
+            declared.mult = lambda x, v: calls.append(x) or mult(x, v)
+            scanned = HidingOracle(m, k, n, declared.value_registers,
+                                   label_fn=lambda x: coset_representative(rep, x))
             solve = solve_hsp_zmn if k == 1 else solve_hsp
             runs = []
-            for oracle in (declared, table_read):
+            for oracle in (declared, scanned):
                 res = solve(oracle, mode=mode, seed=seed, method="reduced")
                 runs.append((res.subgroup.hnf, [t.to_dict() for t in res.trace],
                              res.stats.to_dict()))
@@ -989,8 +1084,8 @@ def test_solver_ignores_value_relabelings(rng):
     for m, n in [(6, 2), (8, 2), (9, 2)]:
         for rows in rng.sample(enumerate_subgroup_hnfs(m, n), 6):
             rep = SubgroupRep(m, 1, n, IntMatrix.from_rows(rows))
-            base = build_coset_oracle(rep)
-            values = sorted(set(base.table().values()))
+            table = label_table(build_coset_oracle(rep))
+            values = sorted(set(table.values()))
             shuffled = list(range(len(values)))
             rng.shuffle(shuffled)
             relabel = {v: shuffled[i] for i, v in enumerate(values)}
@@ -999,7 +1094,7 @@ def test_solver_ignores_value_relabelings(rng):
                 1,
                 n,
                 [Register("v0", "digit", len(values))],
-                label_fn=lambda x, t=base.table(), r=relabel: (r[t[tuple(x)]],),
+                label_fn=lambda x, t=table, r=relabel: (r[t[tuple(x)]],),
             )
             for method in ("dense", "reduced"):
                 res = solve_hsp_zmn(oracle, mode="deterministic", method=method)
