@@ -5,7 +5,8 @@ Everything here reduces to the hidden-subgroup solver: equality of preparable
 states (conditional-swap instance over Z_2), membership through uniform
 subgroup superpositions, presentations of abelian factors, and the staged
 construction that turns s copies of |N> into s-1 copies of |<N, u>| -- the
-building block for uniform superpositions along a polycyclic series.
+building block for uniform superpositions along a polycyclic series, which
+samples coset phases with the solver's own `fourier_sample`.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .hsp import (
     HidingOracle,
     QueryStats,
     _root_order,
+    fourier_sample,
     solve_hsp,
     solve_hsp_zmn,
 )
@@ -32,13 +34,10 @@ from .lattice import (
     trivial_subgroup,
 )
 from .state import (
-    Circuit,
-    QftStep,
     Register,
     RegisterLayout,
     SparseState,
     StatePrep,
-    Step,
     apply_classical_map,
     drop_register,
     factor_split,
@@ -46,7 +45,6 @@ from .state import (
     make_backend,
     measure_register,
     prepare_basis,
-    prepare_zero,
     rename_register,
     tensor,
 )
@@ -291,54 +289,19 @@ def order_modulo(g: int, sub_state: SparseState, ctx: BlackboxContext) -> int:
 # Superposition pyramid
 
 
-@dataclass(frozen=True)
-class _TranslateStep(Step):
-    """|y>|g> -> |y>|u^y g> on a digit and a content register, given the
-    powers u^0..u^(m-1): one query of the order-finding oracle."""
-
-    digit: str
-    content: str
-    upow: tuple
-    arith: GroupArith
-
-    def apply(self, state: SparseState) -> SparseState:
-        yi, ci = state.layout.index[self.digit], state.layout.index[self.content]
-
-        def translate(lbl):
-            out = list(lbl)
-            out[ci] = self.arith.mul(self.upow[lbl[yi]], lbl[ci])
-            return tuple(out)
-
-        return apply_classical_map(state, translate)
-
-    def count(self, stats, inverse=False) -> None:
-        if inverse:
-            stats.f_inverse_calls += 1
-        else:
-            stats.f_calls += 1
-
-
-def _phase_sampling_circuit(
-    digit: str, content: str, u: int, ctx: BlackboxContext
-) -> Circuit:
-    """Transform the digit, translate the content by u^digit, transform again."""
-    upow = tuple(ctx.power(u, t) for t in range(ctx.m))
-    qft = QftStep(digit)
-    return Circuit.of(qft, _TranslateStep(digit, content, upow, ctx.arith), qft)
-
-
-def _sample_coset_phases(state: SparseState, u: int, ctx: BlackboxContext):
+def _sample_coset_phases(state: SparseState, u: int, ctx: BlackboxContext) -> SparseState:
     """Fourier sampling of left translation by u on one subgroup-superposition
-    register: attach a digit, transform, multiply, transform, measure.  Returns
-    (measured index, collapsed register state)."""
-    name = state.layout.registers[0].name
-    digit = prepare_zero(RegisterLayout([Register("y", "digit", ctx.m)]), ctx.q)
-    circ = _phase_sampling_circuit("y", name, u, ctx)
-    circ.count(ctx.stats)
-    work = circ.run(tensor(digit, state))
-    y, work = measure_register(work, "y", mode=ctx.mode, rng=ctx.rng)
-    work = drop_register(work, "y")
-    return y, rename_register(work, work.layout.registers[0].name, name)
+    register, left unmeasured: `fourier_sample`, which counts the queries, on
+    the oracle (y, g) -> u^y g over Z_m whose prepared value block is the
+    register's state.  The sampled digit comes first, as register x0."""
+    reg = state.layout.registers[0]
+    upow = [ctx.power(u, t) for t in range(ctx.m)]
+    mul = ctx.arith.mul
+    prep = StatePrep((reg.name,), state)
+    oracle = HidingOracle(
+        ctx.m, 1, 1, (reg,), prep=prep, mult=lambda x, v: (mul(upow[x[0]], v[0]),)
+    )
+    return fourier_sample(oracle, ctx.q, ctx.stats)
 
 
 def _pair_multiply(
@@ -361,8 +324,9 @@ def extend_superposition(
 ):
     """From s copies of |N> build s-1 copies of |<N, u>| plus one garbage state.
 
-    Each copy is Fourier-sampled against left translation by u; the sampled
-    indices are measured (every later operation commutes with that measurement)
+    Each copy is Fourier-sampled against left translation by u
+    (`_sample_coset_phases`); the sampled digits are measured and dropped
+    (every later operation commutes with that measurement)
     and combined with gcd-preserving coefficients so that content
     multiplications drive the last register's index to a generator and the
     others' to zero -- the zero-index state is exactly the uniform
@@ -380,9 +344,11 @@ def extend_superposition(
     ys = []
     for i, st in enumerate(copies):
         st = rename_register(st, st.layout.registers[0].name, f"c{i}")
-        y, out = _sample_coset_phases(st, u, ctx)
+        y, work = measure_register(
+            _sample_coset_phases(st, u, ctx), "x0", mode=ctx.mode, rng=ctx.rng
+        )
         ys.append(y)
-        states.append(out)
+        states.append(drop_register(work, "x0"))
 
     if any(ys):
         coeffs = combine_many(ys, m)
@@ -446,21 +412,17 @@ def _discrete_ratio(target: int, base: int, m: int) -> int:
 
 def _extend_superposition_coherent(copies, u: int, ctx: BlackboxContext):
     """Fully unitary variant (no measurements), for cross-checking the hybrid
-    path on small instances: coefficients are computed per sampled-index tuple
-    inside one big classical map, and the subgroup copies are split off the
-    still-entangled garbage at the end."""
+    path on small instances: each copy's sampled digit is renamed y{i} and
+    left unmeasured, the copies are tensored, coefficients are computed per
+    sampled-index tuple inside one big classical map, and the subgroup copies
+    are split off the still-entangled garbage at the end."""
     s = len(copies)
     m = ctx.m
     big = None
     for i, st in enumerate(copies):
         st = rename_register(st, st.layout.registers[0].name, f"c{i}")
-        digit = prepare_zero(RegisterLayout([Register(f"y{i}", "digit", m)]), ctx.q)
-        part = tensor(digit, st)
+        part = rename_register(_sample_coset_phases(st, u, ctx), "x0", f"y{i}")
         big = part if big is None else tensor(big, part)
-    for i in range(s):
-        circ = _phase_sampling_circuit(f"y{i}", f"c{i}", u, ctx)
-        circ.count(ctx.stats)
-        big = circ.run(big)
 
     y_idx = [big.layout.index[f"y{i}"] for i in range(s)]
     c_idx = [big.layout.index[f"c{i}"] for i in range(s)]

@@ -65,23 +65,26 @@ in the literal pass the tests compare it with.
 Queries run forwards only: the reflection's uncompute, prep^{-1}, is never
 simulated, and its inverse oracle and QFT calls are charged by counting prep
 in reverse (`Circuit.count(inverse=True)`).  Running a circuit records no
-query: `Circuit.count` is the one accounting path.  Every (probe, j) pass
-makes the same queries, so both rounds record theirs with
-`HidingOracle.record_passes`, which scales a tally of one pass circuit walked
-once per n.
+query: `Circuit.count` is the one accounting path, and `OracleStep.count`
+the one place an f call is charged.
+
+Both rounds are generators that yield each (probe, j) pass's measured x
+with its pairing and keep no books.  `hsp_round` alone records them: the
+passes' queries with `HidingOracle.record_passes` (every pass makes the same
+queries, so a tally of one pass circuit, walked once per n, is scaled), the
+probe count, the `RoundTrace`, and whether a nonzero pairing found an
+element of the complement.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from itertools import product as _cartesian
 from operator import mul
 
 from .lattice import (
     SubgroupRep,
-    contains_element,
     coset_element,
     coset_representative,
     equal_or_witness,
@@ -112,6 +115,7 @@ from .state import (
     apply_classical_map,
     inner_product_unscaled,
     make_backend,
+    pick_outcome,
     prepare_zero,
 )
 
@@ -205,21 +209,15 @@ class RoundTrace:
     probe: tuple[int, ...]
     attempts: list[RoundAttempt] = field(default_factory=list)
     found: bool = False
-    # smallest positive pairing the probe attains on the hidden complement;
-    # filled in only when the true subgroup is supplied for checking
-    witness_divisor: int | None = None
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "probe": list(self.probe),
             "attempts": [
                 {"j": a.j, "x": list(a.x), "pairing": a.pairing} for a in self.attempts
             ],
             "found": self.found,
         }
-        if self.witness_divisor is not None:
-            out["witness_divisor"] = self.witness_divisor
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -439,26 +437,26 @@ class HidingOracle:
 @dataclass(frozen=True)
 class OracleStep(Step):
     """One forward query: prepare the value block if the oracle has a
-    preparation, then relabel it by `mult`.  It has no inverse step; a
-    reflection whose preparation holds it counts the inverse query with
+    preparation, then relabel it by `mult`.  It runs on a layout that starts
+    as the sampling layout does, x registers then the value block, and reads
+    x and v as slices of each label.  It has no inverse step; a reflection
+    whose preparation holds it counts the inverse query with
     `Circuit.count(inverse=True)`."""
 
     oracle: HidingOracle
 
     def apply(self, state: SparseState) -> SparseState:
         o = self.oracle
-        layout = state.layout
-        xi = [layout.index[f"x{i}"] for i in range(o.n)]
-        vi = [layout.index[r.name] for r in o.value_registers]
+        n = o.n
+        hi = n + len(o.value_registers)
+        names = [f"x{i}" for i in range(n)] + [r.name for r in o.value_registers]
+        if state.layout.names()[:hi] != names:
+            raise ValueError("an oracle query runs on the sampling layout")
+        mult = o.mult
 
         def fwd(lbl):
-            x = tuple(lbl[i] for i in xi)
-            v = tuple(lbl[i] for i in vi)
-            nv = o.mult(x, v)
-            out = list(lbl)
-            for i, val in zip(vi, nv):
-                out[i] = val
-            return tuple(out)
+            x = lbl[:n]
+            return x + tuple(mult(x, lbl[n:hi])) + lbl[hi:]
 
         if o.prep is not None:
             state = PrepStep(o.prep).apply(state)
@@ -646,16 +644,11 @@ class _DensePasses:
         """The x registers measured one at a time, as `measure_registers` would
         measure `state()`, on rows (x, abs2 of the value, count), one per
         class entry and helper bit with a nonzero value, in Psi's order.  Per
-        register the rows are grouped by that register's value and each
-        group's mass is the backend's total of its rows: the least value when
-        deterministic, `backend.draw` over the sorted values when seeded.
-        The picked group's rows go on to the next register.  The exact mass
-        faults when irrational, and an exact rational mass rescales the rows
-        by its squared denominator, as the collapse rescales the state."""
-        if mode == "seeded" and rng is None:
-            raise ValueError("seeded measurement needs an rng")
-        if mode not in ("seeded", "deterministic"):
-            raise ValueError(f"unknown measurement mode {mode!r}")
+        register the rows are grouped by that register's value, each group's
+        mass is the backend's total of its rows, and `pick_outcome` picks the
+        group, whose rows go on to the next register.  The exact mass faults
+        when irrational, and an exact rational mass rescales the rows by its
+        squared denominator, as the collapse rescales the state."""
         backend = self.backend
         rows = []
         for x, k, c, p in self.entries:
@@ -663,25 +656,20 @@ class _DensePasses:
                 vw = values[f].get(k)
                 if vw is not None:
                     rows.append((x, vw[1], c))
+
+        def mass(group):
+            return backend.mass_total((w, c) for _x, w, c in group)
+
         outcome = []
         for r in range(self.oracle.n):
             groups: dict = {}
             for row in rows:
                 groups.setdefault(row[0][r], []).append(row)
-            if mode == "deterministic":
-                v = min(groups)
-                mass = backend.mass_total((w, c) for _x, w, c in groups[v])
-            else:
-                vs = sorted(groups)
-                masses = [
-                    backend.mass_total((w, c) for _x, w, c in groups[u]) for u in vs
-                ]
-                i = backend.draw(rng, masses)
-                v, mass = vs[i], masses[i]
+            v, _scale, den = pick_outcome(backend, groups, mass, mode, rng)
             outcome.append(v)
             rows = groups[v]
-            if isinstance(mass, Fraction):
-                d2 = mass.denominator**2
+            if den != 1:
+                d2 = den * den
                 rows = [(x, w * d2, c) for x, w, c in rows]
         return tuple(outcome)
 
@@ -700,39 +688,31 @@ def amplified_round_state(oracle: HidingOracle, probe, j: int, backend) -> Spars
     return passes.state(*passes.values(j))
 
 
-def _dense_round(oracle, probe, js, mode, rng, backend, stats, capture):
-    """The round through the full circuit's amplitudes: each (probe, j) pass
+def _dense_round(oracle, probe, js, mode, rng, backend, capture):
+    """The round through the full circuit's amplitudes, yielding each
+    (probe, j) pass's measured x and its pairing with the probe: each pass
     is measured from its class sums (`_DensePasses.measure`), with the same
     outcome, masses and RNG draws as measuring the materialized
     post-amplification state register by register.  The state itself is
     built only for a capture hook's `round_state` payload."""
-    # each index runs one pass of the round circuit
-    oracle.record_passes(stats, len(js))
-    trace = RoundTrace(probe=tuple(probe))
-    found = []
     passes = _DensePasses(oracle, probe, backend)
     for j in js:
         flags, values = passes.values(j)
-        stats.j_probes += 1
         if capture is not None:
             state = passes.state(flags, values)
             capture("round_state", {"probe": tuple(probe), "j": j, "state": state})
         xs = passes.measure(flags, values, mode, rng)
-        pairing = sum(p * x for p, x in zip(probe, xs)) % oracle.m
-        trace.attempts.append(RoundAttempt(j, xs, pairing))
-        if pairing != 0:
-            found.append(xs)
-    trace.found = bool(found)
-    return found, trace
+        yield xs, sum(map(mul, probe, xs)) % oracle.m
 
 
-def _reduced_round(oracle, probe, js, mode, rng, backend, stats, capture):
+def _reduced_round(oracle, probe, js, mode, rng, backend, capture):
     """Same outcome distribution as the dense round, computed on the classes of
     the pairing value.  The amplification operator is a reflection about the
     prepared state, so the final amplitude on a label depends only on its flag
     bit f: A_f = phase(f) * 2|H-perp| + (i - 1) * (c_0 + i c_1), where c_f
     counts the (pairing class, helper bit) pairs with flag f, weighted by the
-    class sizes.  Two amplitudes per threshold index are everything.
+    class sizes.  Two amplitudes per threshold index are everything.  Each
+    pass yields its measured x and pairing, the class x was drawn from.
 
     Both amplitudes are Gaussian integers, kept as pairs (re, im): their norms
     are integers, so the normalization check is exact and the sampling weights
@@ -757,16 +737,11 @@ def _reduced_round(oracle, probe, js, mode, rng, backend, stats, capture):
     n_below = (half - 1) // d  # classes in (0, half)
     n_top = m // d - 1 - n_below  # classes in [half, m)
 
-    # each index stands for one pass of the dense round's circuit
-    oracle.record_passes(stats, len(js))
     if capture is not None:
         one, iunit = backend.one, backend.imag_unit()
         classes = range(0, m, d)
         na = [size if a % d == 0 else 0 for a in range(m)]
-    trace = RoundTrace(probe=tuple(probe))
-    found = []
     for j in js:
-        stats.j_probes += 1
         # flags at (b = 0, b = 1) are constant on four runs of classes: {0},
         # (0, 0); (0, low], (0, 1); the rest below half, (0, 0); the n_top
         # classes from half on, (1, 1)
@@ -797,22 +772,17 @@ def _reduced_round(oracle, probe, js, mode, rng, backend, stats, capture):
         if mode == "deterministic" and norms[0]:
             # class 0 has flags (0, 0), so it is in the support, and its
             # rank-0 element, the zero vector, is the least of all
-            xs, pairing = (0,) * n, 0
+            yield (0,) * n, 0
         elif mode == "deterministic":
             # the support is then every class with a flag set
-            xs, pairing = least_with_pairing(perp, probe, low, half)
+            yield least_with_pairing(perp, probe, low, half)
         else:
             # per-class weights by run; they total the checked scale
             w0, w1 = norms[0] * size, norms[1] * size
             runs = ((1, 2 * w0), (n_low, w0 + w1), (n_below - n_low, 2 * w0), (n_top, 2 * w1))
-            pairing = _drawn_class(backend.threshold(rng, scale), runs) * d
-            start = [pairing // d * y for y in y_d]
-            xs = coset_element(kernel, m, start, rng.randrange(size))
-        trace.attempts.append(RoundAttempt(j, xs, pairing))
-        if pairing != 0:
-            found.append(xs)
-    trace.found = bool(found)
-    return found, trace
+            cls = _drawn_class(backend.threshold(rng, scale), runs)
+            start = [cls * y for y in y_d]
+            yield coset_element(kernel, m, start, rng.randrange(size)), cls * d
 
 
 def _drawn_class(threshold, runs) -> int:
@@ -850,7 +820,9 @@ def hsp_round(
     Returns (found_xs, trace): found_xs are the measured sampler outputs with
     nonzero pairing (each certainly lies in the complement of the hidden
     subgroup); an empty list certifies that the probe lies in the hidden
-    subgroup.
+    subgroup.  The round (dense or reduced) yields each pass's measured x
+    with its pairing, and this loop alone keeps the round's books: the
+    passes' queries, the probe count, the trace and what the round found.
     """
     if stats is None:
         stats = QueryStats()
@@ -865,7 +837,18 @@ def hsp_round(
             "the hiding promise"
         )
     runner = _reduced_round if use_reduced else _dense_round
-    return runner(oracle, probe, js, mode, rng, backend, stats, capture)
+    # each index runs one pass of the round circuit
+    oracle.record_passes(stats, len(js))
+    trace = RoundTrace(probe=tuple(probe))
+    found = []
+    # the runner comes first, so zip runs it to completion rather than closing it
+    for (xs, pairing), j in zip(runner(oracle, probe, js, mode, rng, backend, capture), js):
+        stats.j_probes += 1
+        trace.attempts.append(RoundAttempt(j, xs, pairing))
+        if pairing != 0:
+            found.append(xs)
+    trace.found = bool(found)
+    return found, trace
 
 
 # ---------------------------------------------------------------------------
@@ -888,7 +871,6 @@ def solve_hsp_zmn(
     backend: str = "exact",
     method: str = "auto",
     capture=None,
-    known_hidden: SubgroupRep | None = None,
     stats: QueryStats | None = None,
 ) -> HspResult:
     """Exact hidden-subgroup computation in Z_m^n (exponent 1)."""
@@ -904,7 +886,6 @@ def solve_hsp_zmn(
         stats = QueryStats()
     trace: list[RoundTrace] = []
 
-    perp_known = perp_subgroup(known_hidden) if known_hidden is not None else None
     # low grows up to the hidden subgroup, comp inside the complement; both
     # start trivial, and target = perp(comp) is recomputed only when comp grows
     low = comp = trivial_subgroup(m, 1, n)
@@ -931,16 +912,6 @@ def solve_hsp_zmn(
             target = perp_subgroup(comp)
         else:
             low = join(low, [probe])
-        if known_hidden is not None:
-            # the pairings over the complement are d * Z_m
-            d = pairing_fibers(perp_known, probe)[0]
-            rtrace.witness_divisor = d if d < m else None
-            for col in low.hnf.columns():
-                if not contains_element(known_hidden, col):
-                    raise AssertionError("solver invariant broken: K escaped H")
-            for col in comp.hnf.columns():
-                if not contains_element(perp_known, col):
-                    raise AssertionError("solver invariant broken: L escaped the complement")
     return HspResult(low, stats, trace)
 
 

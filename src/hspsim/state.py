@@ -53,10 +53,6 @@ class NotProductError(SimulationError):
     """The requested register split is entangled."""
 
 
-class MeasurementNotDetermined(SimulationError):
-    """Deterministic measurement found support straddling the announced partition."""
-
-
 class ResourceLimitError(SimulationError):
     """A state or table would exceed the simulator's support limit, or a
     field its root-order limit; the instance itself may keep every promise."""
@@ -599,53 +595,47 @@ def rename_register(state: SparseState, old: str, new: str) -> SparseState:
 # Measurement
 
 
-def measure_register(
-    state: SparseState,
-    register: str,
-    mode: str = "seeded",
-    rng=None,
-    expect_partition=None,
-):
-    """Measure one register. Returns (outcome, collapsed state).
+def pick_outcome(backend, groups: dict, mass, mode: str, rng):
+    """The one outcome draw: pick a measured value among the keys of groups,
+    `mass(group)` giving each group's mass.  Deterministic mode takes the
+    least value and computes only its mass; seeded mode draws over the
+    sorted values by their masses with `backend.draw`.
 
-    seeded mode samples the exact marginal distribution (exact integer/rational
-    sampling on the exact backend).  deterministic mode returns the smallest
-    register value present in the support and computes only that value's
-    mass; when expect_partition is supplied, the support must not straddle the
-    partition predicate, otherwise the measurement faults.
-    """
-    idx = state.layout.index[register]
-    groups: dict[int, list] = {}
-    for lbl, amp in state.amps.items():
-        groups.setdefault(lbl[idx], []).append(amp)
-
+    Returns (value, scale, den): the picked group's mass as the collapsed
+    state's scale, and the factor den by which its amplitudes are rescaled.
+    An exact Fraction mass is cleared to an integer scale, den its
+    denominator; any other mass is the scale itself, with den 1."""
     if mode == "deterministic":
-        if expect_partition is not None:
-            classes = {bool(expect_partition(v)) for v in groups}
-            if len(classes) > 1:
-                raise MeasurementNotDetermined(
-                    f"support of {register} straddles the announced partition"
-                )
-        outcome = min(groups)
-        new_scale = state.backend.mass(groups[outcome])
+        value = min(groups)
+        total = mass(groups[value])
     elif mode == "seeded":
         if rng is None:
             raise ValueError("seeded measurement needs an rng")
         values = sorted(groups)
-        masses = [state.backend.mass(groups[v]) for v in values]
-        i = state.backend.draw(rng, masses)
-        outcome, new_scale = values[i], masses[i]
+        masses = [mass(groups[v]) for v in values]
+        i = backend.draw(rng, masses)
+        value, total = values[i], masses[i]
     else:
         raise ValueError(f"unknown measurement mode {mode!r}")
+    if isinstance(total, Fraction):
+        den = total.denominator
+        return value, int(total * den * den), den
+    return value, total, 1
 
+
+def measure_register(state: SparseState, register: str, mode: str = "seeded", rng=None):
+    """Measure one register. Returns (outcome, collapsed state): the outcome
+    is `pick_outcome` over the register's values, each group of amplitudes
+    weighed by its exact mass on the exact backend."""
+    idx = state.layout.index[register]
+    groups: dict[int, list] = {}
+    for lbl, amp in state.amps.items():
+        groups.setdefault(lbl[idx], []).append(amp)
+    outcome, scale, den = pick_outcome(state.backend, groups, state.backend.mass, mode, rng)
     kept = {lbl: a for lbl, a in state.amps.items() if lbl[idx] == outcome}
-    if isinstance(new_scale, Fraction):
-        # an exact rational scale is cleared back to an integer by rescaling
-        # the amplitudes
-        den = new_scale.denominator
+    if den != 1:
         kept = {lbl: a * den for lbl, a in kept.items()}
-        new_scale = int(new_scale * den * den)
-    return outcome, SparseState(state.layout, state.backend, new_scale, kept)
+    return outcome, SparseState(state.layout, state.backend, scale, kept)
 
 
 def measure_registers(state, registers, mode="seeded", rng=None):
@@ -806,27 +796,43 @@ class ClassicalStep(Step):
 
 @dataclass(frozen=True)
 class PrepStep(Step):
-    """Inject a known state on a block of (all-zero) registers.  It has no
-    inverse step: the reflection about a prepared state uncomputes it through
-    the operator identity, and counts the uncompute with
-    `Circuit.count(inverse=True)`."""
+    """Inject a known state on a block of (all-zero) registers, contiguous
+    and in the preparation's register order.  It has no inverse step: the
+    reflection about a prepared state uncomputes it through the operator
+    identity, and counts the uncompute with `Circuit.count(inverse=True)`."""
 
     prep: "StatePrep"
 
     def apply(self, state):
-        idxs = [state.layout.index[r] for r in self.prep.registers]
+        regs = self.prep.registers
+        lo = state.layout.index[regs[0]]
+        hi = lo + len(regs)
+        if tuple(state.layout.names()[lo:hi]) != regs:
+            raise ValueError("prep registers must be a contiguous block in layout order")
         psi = self.prep.state
-        for lbl in state.amps:
-            if any(lbl[i] != 0 for i in idxs):
-                raise SimulationError("prep target registers must be zero")
         _check_support(len(state.amps) * len(psi.amps))
+        zero = (0,) * len(regs)
+        # amp * pamp depends on the label only through (amp, pamp): each
+        # distinct pair is multiplied once, keyed by the backend's memo_key
+        key = state.backend.memo_key
+        rows: dict = {}  # amplitude key -> (prepared label, product)s in psi's order
         new = {}
         for lbl, amp in state.amps.items():
-            base = list(lbl)
-            for plbl, pamp in psi.amps.items():
-                for i, v in zip(idxs, plbl):
-                    base[i] = v
-                new[tuple(base)] = amp * pamp
+            if lbl[lo:hi] != zero:
+                raise SimulationError("prep target registers must be zero")
+            k = key(amp)
+            row = rows.get(k)
+            if row is None:
+                prods: dict = {}
+                row = rows[k] = []
+                for plbl, p in psi.amps.items():
+                    pk = key(p)
+                    if pk not in prods:
+                        prods[pk] = amp * p
+                    row.append((plbl, prods[pk]))
+            pre, post = lbl[:lo], lbl[hi:]
+            for plbl, val in row:
+                new[pre + plbl + post] = val
         return SparseState(state.layout, state.backend, state.scale * psi.scale, new)
 
 

@@ -393,6 +393,18 @@ def test_hybrid_and_coherent_extension_agree(s):
     cases.append((backend, m, [r2], r))  # center extended by the rotation
     t_backend = TableBackend([[(i + j) % 4 for j in range(4)] for i in range(4)], [1])
     cases.append((t_backend, 2, [2], 1))  # <2> inside the four-cycle
+    if s == 2:
+        # every zoo group: the trivial subgroup extended by each generator,
+        # raised to the power m^(e-1) of order dividing m when its order is
+        # m^e, as one extension step needs u^m in the subgroup
+        for make, _order in ZOO.values():
+            backend, m = make()
+            arith = BlackboxContext(backend, m).arith
+            for g in backend.generators:
+                e = max(arith.order_m_exponent(g), 1)
+                cases.append((backend, m, [], arith.power(g, m ** (e - 1))))
+    # each copy is Fourier-sampled once: one query between two transforms
+    sampled = QueryStats(f_calls=s, qft_calls=2 * s).to_dict()
     for backend, m, sub_gens, u in cases:
         elements, identity = backend_elements(backend)
         sub = closure(backend.mul, sub_gens, identity) if sub_gens else {identity}
@@ -403,6 +415,7 @@ def test_hybrid_and_coherent_extension_agree(s):
             ctx2 = BlackboxContext(backend, m)
             base2 = uniform_state(ctx2, sub)
             couts, _, _ = extend_superposition([base2] * s, u, ctx2, coherent=True)
+            assert ctx.stats.to_dict() == ctx2.stats.to_dict() == sampled
             assert len(outs) == len(couts) == s - 1
             for a, b in zip(outs, couts):
                 assert states_equal(a, b, up_to_phase=True)

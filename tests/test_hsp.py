@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hspsim.hsp import (
     HidingOracle,
+    OracleStep,
     QueryStats,
     amplified_round_state,
     build_coset_oracle,
@@ -29,9 +30,11 @@ from hspsim.hsp import (
 from hspsim.lattice import (
     IntMatrix,
     SubgroupRep,
+    contains_element,
     coset_representative,
     enumerate_elements,
     full_subgroup,
+    pairing_fibers,
     perp_subgroup,
     subgroup_from_generators,
     subgroup_order,
@@ -45,6 +48,7 @@ from hspsim.state import (
     SparseState,
     StatePrep,
     amplitude_amplify,
+    apply_qft,
     make_backend,
     measure_registers,
     prepare_zero,
@@ -199,6 +203,20 @@ def test_one_pass_charges_its_uncompute_as_inverse_queries(n):
     build_coset_oracle(trivial_subgroup(2, 1, n)).record_passes(stats, 1)
     assert (stats.f_calls, stats.f_inverse_calls) == (2, 1)
     assert (stats.qft_calls, stats.qft_inverse_calls) == (4 * n, 2 * n)
+
+
+def test_oracle_step_runs_on_the_sampling_layout():
+    # x and the value block are read as slices, so a query on a layout that
+    # does not start with them faults rather than relabel the wrong registers
+    oracle = build_coset_oracle(trivial_subgroup(2, 1, 1))
+    backend = make_backend("exact", 4)
+    (v0,) = oracle.value_registers
+    swapped = RegisterLayout([v0, Register("x0", "digit", 2)])
+    with pytest.raises(ValueError):
+        OracleStep(oracle).apply(prepare_zero(swapped, backend))
+    queried = OracleStep(oracle).apply(
+        apply_qft(prepare_zero(sampling_layout(oracle), backend), "x0"))
+    assert sorted(queried.amps) == [(0, 0), (1, 1)]
 
 
 def _overlapping_swap_oracle():
@@ -826,12 +844,18 @@ def test_solve_simon_instance():
 def test_solve_every_subgroup_small(m, n):
     for rows in enumerate_subgroup_hnfs(m, n):
         rep = rep_of([list(r) for r in rows], m)
+        perp = perp_subgroup(rep)
         oracle = build_coset_oracle(rep)
         for mode, seed in (("deterministic", None), ("seeded", 1), ("seeded", 2)):
-            res = solve_hsp_zmn(
-                oracle, mode=mode, seed=seed, known_hidden=rep
-            )
+            res = solve_hsp_zmn(oracle, mode=mode, seed=seed)
             assert res.subgroup.hnf.data == rows
+            # the solver's invariants, read off the trace: a round that found
+            # nothing probed an element of H, and every attempt with a nonzero
+            # pairing measured an element of perp(H)
+            for t in res.trace:
+                assert t.found or contains_element(rep, t.probe)
+                for a in t.attempts:
+                    assert a.pairing == 0 or contains_element(perp, a.x)
 
 
 def test_solve_methods_agree_everywhere():
@@ -1044,11 +1068,12 @@ def test_is_prime_above_its_exact_range_is_a_resource_limit():
 
 
 def test_witness_divisor_recorded_with_known_hidden():
+    # the witness divisor of a round is the d with probe . perp(H) = d * Z_m,
+    # computed from each traced probe
     rep = subgroup_from_generators([(3,)], 9, 1, 1)
-    res = solve_hsp_zmn(
-        build_coset_oracle(rep), mode="deterministic", known_hidden=rep
-    )
-    divisors = [t.witness_divisor for t in res.trace]
+    res = solve_hsp_zmn(build_coset_oracle(rep), mode="deterministic")
+    perp = perp_subgroup(rep)
+    divisors = [pairing_fibers(perp, t.probe)[0] for t in res.trace]
     assert 3 in divisors  # pairing image is generated by three
     assert res.subgroup.hnf == rep.hnf
 

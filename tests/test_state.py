@@ -13,7 +13,6 @@ from hspsim.state import (
     Circuit,
     ClassicalStep,
     HadamardStep,
-    MeasurementNotDetermined,
     NonBijectionError,
     NotProductError,
     PhaseStep,
@@ -235,19 +234,6 @@ def test_measure_deterministic_lexicographic():
     out, post = measure_register(st, "x", mode="deterministic")
     assert out == 3
     assert post.scale == 1
-
-
-def test_measure_partition_fault():
-    layout = digit_layout(6, "x")
-    st = SparseState(layout, EX, 2, {(1,): EX.one, (2,): EX.one})
-    with pytest.raises(MeasurementNotDetermined):
-        measure_register(
-            st, "x", mode="deterministic", expect_partition=lambda v: v == 1
-        )
-    out, _ = measure_register(
-        st, "x", mode="deterministic", expect_partition=lambda v: v > 0
-    )
-    assert out == 1
 
 
 def test_measure_collapse_renormalizes_exactly():
@@ -493,6 +479,22 @@ def test_state_prep_requires_zero_block():
     nonzero = prepare_basis(layout, EX, (1,))
     with pytest.raises(SimulationError):
         prep.as_circuit().run(nonzero)
+
+
+def test_state_prep_needs_a_contiguous_block_in_its_order():
+    # the block is written into each label as one slice
+    psi = apply_hadamard(tensor(prepare_zero(qubit_layout("v"), EX),
+                                prepare_zero(qubit_layout("w"), EX)), "w")
+    prep = StatePrep(("v", "w"), psi)
+    x = Register("x", "digit", 3)
+    v, w = psi.layout.registers
+    for regs in ([v, x, w], [w, v, x]):
+        with pytest.raises(ValueError):
+            prep.as_circuit().run(prepare_zero(RegisterLayout(regs), EX))
+    injected = prep.as_circuit().run(prepare_zero(RegisterLayout([x, v, w]), EX))
+    assert {lbl: a.coeffs for lbl, a in injected.amps.items()} == {
+        (0,) + lbl: a.coeffs for lbl, a in psi.amps.items()
+    }
 
 
 # ---------------------------------------------------------------------------
