@@ -34,6 +34,7 @@ from .lattice import (
     trivial_subgroup,
 )
 from .state import (
+    NotProductError,
     Register,
     RegisterLayout,
     SparseState,
@@ -333,9 +334,20 @@ def extend_superposition(
     superposition over the extended subgroup.
 
     Returns (list of s-1 subgroup states, garbage state, measured indices).
+    The step needs u^m in N; when the amplitudes fail to factor and u^m is
+    outside N, that is reported as a PromiseError.
     """
-    if coherent:
-        return _extend_superposition_coherent(copies, u, ctx)
+    extend = _extend_superposition_coherent if coherent else _extend_superposition_hybrid
+    try:
+        return extend(copies, u, ctx)
+    except NotProductError:
+        if (ctx.power(u, ctx.m),) not in copies[0].amps:
+            raise PromiseError(f"u^m must lie in N: u = {u}, m = {ctx.m}") from None
+        raise
+
+
+def _extend_superposition_hybrid(copies, u: int, ctx: BlackboxContext):
+    """`extend_superposition` with each sampled digit measured and dropped."""
     s = len(copies)
     if s < 2:
         raise ValueError("need at least two copies")
@@ -639,12 +651,17 @@ def derived_series(
     built = build_polycyclic_series(backend, m, ctx)
     if not isinstance(built, PolycyclicSeries):
         raise PromiseError(f"group is not solvable of m-power order: {built}")
-    chain = [list(backend.generators)]
-    current = built
-    while current.elements:
-        nxt = commutator_subgroup(current, ctx)
-        chain.append(list(nxt.elements))
-        current = nxt
+    return derived_chain(built, ctx)
+
+
+def derived_chain(series: PolycyclicSeries, ctx: BlackboxContext) -> list[list[int]]:
+    """The derived series from a built series of the whole group: its
+    generators, then each commutator subgroup's series elements, down to the
+    trivial group."""
+    chain = [list(ctx.backend.generators)]
+    while series.elements:
+        series = commutator_subgroup(series, ctx)
+        chain.append(list(series.elements))
     return chain
 
 

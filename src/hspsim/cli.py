@@ -248,7 +248,7 @@ def _cmd_group(args) -> int:
     elif args.op == "order":
         report["order"] = bb.group_order(built, ctx)
     elif args.op == "derived":
-        report["derived_series"] = bb.derived_series(backend, m, ctx)
+        report["derived_series"] = bb.derived_chain(built, ctx)
     elif args.op == "decompose":
         try:
             ngens = [

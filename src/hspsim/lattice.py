@@ -2,9 +2,11 @@
 
 A subgroup is represented by the Hermite-normal-form basis of its preimage
 lattice in Z^n (the lattice always contains m^k * Z^n, hence has full rank).
-Duality and the fibers of a pairing come from that triangular basis directly;
-Smith normal form with multipliers supplies invariant factors and the
-divide-by-m lifting used when reducing exponent-k instances to exponent 1.
+Duality and the fibers of a pairing come from that triangular basis directly.
+One Smith elimination with multipliers supplies the invariant factors and
+the divide-by-m lift and section used when reducing exponent-k instances to
+exponent 1; both read the inverse left multiplier off mat @ R, and one gcd
+step serves the Hermite and the Smith eliminations.
 
 All entries are Python ints, so nothing here ever rounds.
 """
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product as _cartesian
 from math import gcd, prod
+from operator import mul
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -53,9 +56,7 @@ class IntMatrix:
 
     @classmethod
     def from_columns(cls, cols) -> "IntMatrix":
-        cols = [list(c) for c in cols]
-        n = len(cols[0])
-        return cls.from_rows([[c[i] for c in cols] for i in range(n)])
+        return cls.from_rows(zip(*cols))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -69,29 +70,16 @@ class IntMatrix:
             [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
         )
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.data)
-
     def columns(self) -> list[tuple[int, ...]]:
         return list(zip(*self.data))
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_rows(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        ot = other.transpose().data
+        ot = other.columns()
         return IntMatrix.from_rows(
-            [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.data]
+            [[sum(map(mul, row, col)) for col in ot] for row in self.data]
         )
-
-    def mat_vec(self, v) -> tuple[int, ...]:
-        if len(v) != self.cols:
-            raise ValueError("shape mismatch")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.data)
 
     def det(self) -> int:
         """Determinant by fraction-free (Bareiss) elimination."""
@@ -222,16 +210,7 @@ def _hnf_columns(cols: list[list[int]], n: int) -> None:
             if a == 0:
                 cols[pivot], cols[j] = cols[j], cols[pivot]
                 continue
-            cp, cj = cols[pivot], cols[j]
-            if b % a == 0:
-                q = b // a
-                for i in range(row, length):
-                    cj[i] -= q * cp[i]
-                continue
-            g, x, y = xgcd(a, b)
-            au, bu = a // g, b // g
-            for i in range(row, length):
-                cp[i], cj[i] = x * cp[i] + y * cj[i], -bu * cp[i] + au * cj[i]
+            _gcd_step(cols[pivot], cols[j], a, b, row)
         cp = cols[pivot]
         d = cp[row]
         if d == 0:
@@ -248,134 +227,94 @@ def _hnf_columns(cols: list[list[int]], n: int) -> None:
         pivot += 1
 
 
-def _smith_with_inverse(mat: IntMatrix):
-    """Smith normal form with multipliers and the inverse left multiplier.
-
-    Returns (S, L, R, Linv) with S = L @ mat @ R, L and R unimodular and
-    Linv = L^{-1}, maintained exactly alongside the row operations.
-    """
-    n, s = mat.rows, mat.cols
-    a = [list(row) for row in mat.data]
-    L = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    Linv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    R = [[1 if i == j else 0 for j in range(s)] for i in range(s)]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        L[i], L[j] = L[j], L[i]
-        for r in Linv:
-            r[i], r[j] = r[j], r[i]
-
-    def col_swap(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in R:
-            r[i], r[j] = r[j], r[i]
-
-    def row_combine(i, j, t):
-        # When the pivot divides the target, subtract a multiple (the pivot row
-        # stays put); otherwise apply the 2x2 unimodular transform from xgcd,
-        # which strictly shrinks the pivot.  Mixing transforms in the divisible
-        # case can cycle, so the split is what guarantees termination.
-        p, q_ = a[i][t], a[j][t]
-        if q_ % p == 0:
-            q = q_ // p
-            for M in (a, L):
-                ri, rj = M[i], M[j]
-                for c in range(len(rj)):
-                    rj[c] -= q * ri[c]
-            for r in Linv:
-                r[i] += q * r[j]
-            return
-        g, x, y = xgcd(p, q_)
-        au, bu = p // g, q_ // g
-        for M in (a, L):
-            ri, rj = M[i], M[j]
-            for c in range(len(ri)):
-                ri[c], rj[c] = x * ri[c] + y * rj[c], -bu * ri[c] + au * rj[c]
-        # Linv multiplies by the inverse transform on the right:
-        # inverse of [[x, y], [-bu, au]] is [[au, -y], [bu, x]] (det = 1)
-        for r in Linv:
-            r[i], r[j] = au * r[i] + bu * r[j], -y * r[i] + x * r[j]
-
-    def col_combine(i, j, t):
-        p, q_ = a[t][i], a[t][j]
-        if q_ % p == 0:
-            q = q_ // p
-            for M in (a, R):
-                for r in M:
-                    r[j] -= q * r[i]
-            return
-        g, x, y = xgcd(p, q_)
-        au, bu = p // g, q_ // g
-        for M in (a, R):
-            for r in M:
-                r[i], r[j] = x * r[i] + y * r[j], -bu * r[i] + au * r[j]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        L[i] = [-x for x in L[i]]
-        for r in Linv:
-            r[i] = -r[i]
-
-    rank = min(n, s)
-    for t in range(rank):
-        # find a nonzero pivot in the trailing block
-        pr = pc = -1
-        for i in range(t, n):
-            for j in range(t, s):
-                if a[i][j]:
-                    pr, pc = i, j
-                    break
-            if pr >= 0:
-                break
-        if pr < 0:
-            break
-        if pr != t:
-            row_swap(t, pr)
-        if pc != t:
-            col_swap(t, pc)
-        while True:
-            for i in range(t + 1, n):
-                if a[i][t]:
-                    row_combine(t, i, t)
-            if any(a[t][j] for j in range(t + 1, s)):
-                for j in range(t + 1, s):
-                    if a[t][j]:
-                        col_combine(t, j, t)
-                continue
-            # divisibility sweep: pivot must divide the trailing block
-            d = a[t][t]
-            witness = None
-            for i in range(t + 1, n):
-                for j in range(t + 1, s):
-                    if a[i][j] % d:
-                        witness = i
-                        break
-                if witness is not None:
-                    break
-            if witness is None:
-                break
-            ri, rt = a[witness], a[t]
-            for c in range(s):
-                rt[c] += ri[c]
-            lw, lt = L[witness], L[t]
-            for c in range(n):
-                lt[c] += lw[c]
-            for r in Linv:
-                r[witness] -= r[t]
-        if a[t][t] < 0:
-            negate_row(t)
-
-    S = IntMatrix.from_rows(a)
-    return S, IntMatrix.from_rows(L), IntMatrix.from_rows(R), IntMatrix.from_rows(Linv)
+def _gcd_step(u: list[int], v: list[int], a: int, b: int, lo: int = 0) -> None:
+    """Clear v's entry b against u's entry a != 0, in place from position lo.
+    When a | b, v loses b/a copies of u; otherwise, with g = gcd(a, b) =
+    x a + y b, (u, v) -> (x u + y v, (a/g) v - (b/g) u) leaves g in u.  Using
+    the transform when a | b as well can cycle: the split is what makes an
+    elimination terminate."""
+    if b % a == 0:
+        q = b // a
+        for i in range(lo, len(v)):
+            v[i] -= q * u[i]
+        return
+    g, x, y = xgcd(a, b)
+    au, bu = a // g, b // g
+    for i in range(lo, len(u)):
+        u[i], v[i] = x * u[i] + y * v[i], -bu * u[i] + au * v[i]
 
 
 def smith_normal_form(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form: (S, L, R) with S = L @ mat @ R, L and R unimodular,
-    nonzero entries d_1 | d_2 | ... on the leading diagonal positions."""
-    S, L, R, _ = _smith_with_inverse(mat)
-    return S, L, R
+    nonzero entries d_1 | d_2 | ... on the leading diagonal positions.
+
+    One elimination on the block [[mat, I], [I, 0]], its zero block left
+    out: L rides beside mat's rows, so the row operations (`_gcd_step` on two
+    top rows) build it, and R sits below mat's columns, so the column
+    operations (one step over the block rows) build it.  Rows and columns
+    before the pivot are already clear, so every step starts at the pivot.
+    """
+    n, s = mat.rows, mat.cols
+    block = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat.data)]
+    block += [[int(i == j) for j in range(s)] for i in range(s)]
+    for t in range(min(n, s)):
+        pivot = next(((i, j) for i in range(t, n) for j in range(t, s) if block[i][j]), None)
+        if pivot is None:
+            break
+        pr, pc = pivot
+        block[t], block[pr] = block[pr], block[t]
+        for r in block[t:]:
+            r[t], r[pc] = r[pc], r[t]
+        while True:
+            for i in range(t + 1, n):
+                if block[i][t]:
+                    _gcd_step(block[t], block[i], block[t][t], block[i][t], t)
+            if any(block[t][t + 1 : s]):
+                for j in range(t + 1, s):
+                    a, b = block[t][t], block[t][j]
+                    if b == 0:
+                        continue
+                    if b % a == 0:
+                        q = b // a
+                        for r in block[t:]:
+                            r[j] -= q * r[t]
+                        continue
+                    g, x, y = xgcd(a, b)
+                    au, bu = a // g, b // g
+                    for r in block[t:]:
+                        r[t], r[j] = x * r[t] + y * r[j], -bu * r[t] + au * r[j]
+                continue
+            # the pivot must divide the trailing block: add a row it does not
+            # divide and eliminate again, which shrinks the pivot
+            d = block[t][t]
+            witness = next(
+                (i for i in range(t + 1, n) if any(x % d for x in block[i][t + 1 : s])), None
+            )
+            if witness is None:
+                break
+            block[t] = [x + y for x, y in zip(block[t], block[witness])]
+        if block[t][t] < 0:
+            block[t] = [-x for x in block[t]]
+    return (
+        IntMatrix(n, s, tuple(tuple(r[:s]) for r in block[:n])),
+        IntMatrix(n, n, tuple(tuple(r[s:]) for r in block[:n])),
+        IntMatrix(s, s, tuple(map(tuple, block[n:]))),
+    )
+
+
+def _smith_basis(mat: IntMatrix) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The Smith diagonal d_1 | ... | d_n of a matrix with n rows, and the
+    columns of L^{-1}.  S = L @ mat @ R gives mat @ R = L^{-1} @ S, so column
+    i of L^{-1} is column i of mat @ R divided, exactly, by d_i.  Raises
+    ValueError when a d_i is zero: the column lattice has lower rank."""
+    S, _, R = smith_normal_form(mat)
+    diag = [S.data[i][i] for i in range(min(mat.rows, mat.cols))]
+    if len(diag) < mat.rows or 0 in diag:
+        raise ValueError("relations do not define a finite group (zero invariant factor)")
+    return diag, [
+        tuple(sum(map(mul, row, rcol)) // d for row in mat.data)
+        for d, rcol in zip(diag, R.columns())
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -446,10 +385,12 @@ class SubgroupRep:
         return _hnf_rep(X, m, 1, n)
 
     @cached_property
-    def _smith(self) -> tuple:
-        """`_smith_with_inverse` of the basis, read by `lift_by_m` and
-        `section_map`."""
-        return _smith_with_inverse(self.hnf)
+    def _section(self) -> "SectionMap":
+        """The divide-by-m section of this rep: see `SectionMap`."""
+        diag, linv = _smith_basis(self.hnf)
+        g = tuple(gcd(d, self.m) for d in diag)
+        cols = tuple(tuple(d // gi * x for x in col) for d, gi, col in zip(diag, g, linv))
+        return SectionMap(self.m, self.k, self.n, g, cols)
 
     def det(self) -> int:
         return prod(self.hnf.data[i][i] for i in range(self.n))
@@ -590,8 +531,7 @@ def equal_or_witness(a: SubgroupRep, b: SubgroupRep) -> tuple[int, ...] | None:
         return None
     for j in range(a.n):
         if b.hnf.data[j][j] < a.hnf.data[j][j]:
-            w = tuple(v % b.modulus for v in b.hnf.column(j))
-            return w
+            return tuple(v % b.modulus for v in cols[j])
     raise AssertionError("proper containment without a smaller diagonal entry")
 
 
@@ -721,73 +661,62 @@ def _least_step(c: int, s: int, g: int, lo: int, hi: int) -> int | None:
 
 
 def lift_by_m(rep: SubgroupRep) -> SubgroupRep:
-    """The subgroup of all x with m*x in the input subgroup."""
-    S, _, _, Linv = rep._smith
-    d = [S.data[i][i] for i in range(rep.n)]
-    cols = []
-    for i in range(rep.n):
-        scale = d[i] // gcd(d[i], rep.m)
-        cols.append(tuple(scale * Linv.data[r][i] for r in range(rep.n)))
-    return subgroup_from_generators(cols, rep.m, rep.k, rep.n)
+    """The subgroup of all x with m*x in the input subgroup: the one its
+    section's columns generate (see `SectionMap`)."""
+    return subgroup_from_generators(rep._section.cols, rep.m, rep.k, rep.n)
 
 
 @dataclass(frozen=True)
 class SectionMap:
     """Classical map Z_m^n -> Z_{m^k}^n whose composition with the quotient by a
-    fixed subgroup is a surjective homomorphism onto (divide-by-m lift)/(subgroup).
+    fixed subgroup A is a surjective homomorphism onto (divide-by-m lift)/A.
 
-    Coordinates are taken in the Smith basis of the subgroup's lattice: each
-    input digit is replaced by its least positive residue modulo gcd(d_i, m),
-    stretched by d_i/gcd(d_i, m), and mapped back through the inverse left
-    multiplier.
+    With A's lattice in Smith form, S = L A R with diagonal d_i, column i of
+    L^{-1} stretched by d_i / g_i, g_i = gcd(d_i, m), is `cols[i]`.  The
+    columns generate the lift, and g_i * cols[i] = d_i * (column i of
+    L^{-1}) lies in A.  The map sends x to the sum of r_i * cols[i], r_i the
+    least positive residue of x_i modulo g_i, so it differs from
+    x -> sum of x_i * cols[i] by an element of A.
     """
 
     m: int
     k: int
     n: int
-    diag: tuple[int, ...]
-    linv: IntMatrix
+    g: tuple[int, ...]
+    cols: tuple[tuple[int, ...], ...]
 
     def __call__(self, x) -> tuple[int, ...]:
         if len(x) != self.n:
             raise ValueError("vector length mismatch")
         q = self.m**self.k
-        y = []
-        for xi, di in zip(x, self.diag):
-            g = gcd(di, self.m)
-            r = int(xi) % g
-            if r == 0:
-                r = g
-            y.append(r * (di // g))
-        out = self.linv.mat_vec(y)
+        out = [0] * self.n
+        for xi, gi, col in zip(x, self.g, self.cols):
+            r = int(xi) % gi or gi
+            for l, c in enumerate(col):
+                out[l] += r * c
         return tuple(v % q for v in out)
 
     def preimage(self, rep: SubgroupRep) -> SubgroupRep:
         """The subgroup of all x in Z_m^n with section(x) in rep, for rep
         containing the subgroup this map was built for.
 
-        The section differs from x -> Linv diag(d_i / gcd(d_i, m)) x by an
-        element of that subgroup, and this linear map sends m * Z^n into it,
-        so the preimage of rep is a lattice.  Column operations on
-        [(M e_j; e_j) | (rep columns; 0)] that bring the top n rows to HNF
-        zero the top of the right n columns, whose bottoms span it.
+        Modulo that subgroup the section is x -> sum of x_i * cols[i], a
+        linear map that sends m * Z^n into it, so the preimage of rep is a
+        lattice.  Column operations on [(cols[j]; e_j) | (rep columns; 0)]
+        that bring the top n rows to HNF zero the top of the right n columns,
+        whose bottoms span it.
         """
         n = self.n
-        stretch = [d // gcd(d, self.m) for d in self.diag]
-        cols = [
-            [row[j] * stretch[j] for row in self.linv.data] + [int(i == j) for i in range(n)]
-            for j in range(n)
-        ]
+        cols = [[*col, *(int(i == j) for i in range(n))] for j, col in enumerate(self.cols)]
         cols += [list(col) + [0] * n for col in rep.hnf.columns()]
         _hnf_columns(cols, n)
         return subgroup_from_generators([col[n:] for col in cols[n:]], self.m, 1, n)
 
 
 def section_map(rep: SubgroupRep, lifted: SubgroupRep | None = None) -> SectionMap:
-    """Build the transversal map for one divide-by-m reduction round."""
-    S, _, _, Linv = rep._smith
-    d = tuple(S.data[i][i] for i in range(rep.n))
-    sm = SectionMap(rep.m, rep.k, rep.n, d, Linv)
+    """The transversal map for one divide-by-m reduction round, kept by the
+    rep; given the lift, each basis vector's image is checked to lie in it."""
+    sm = rep._section
     if lifted is not None:
         for i in range(rep.n):
             img = sm(tuple(1 if j == i else 0 for j in range(rep.n)))
@@ -829,18 +758,8 @@ def invariant_factor_decomposition(relations: IntMatrix, n: int) -> AbelianDecom
     """
     if relations.rows != n:
         raise ValueError("relation matrix must have n rows")
-    S, _, _, Linv = _smith_with_inverse(relations)
-    diag = [S.data[i][i] if i < S.cols else 0 for i in range(n)]
-    if any(d == 0 for d in diag):
-        raise ValueError("relations do not define a finite group (zero invariant factor)")
-    factors = []
-    gen_rows = []
-    for i, d in enumerate(diag):
-        if d > 1:
-            factors.append(d)
-            gen_rows.append([Linv.data[r][i] for r in range(n)])
-    if not factors:
+    kept = [(d, col) for d, col in zip(*_smith_basis(relations)) if d > 1]
+    if not kept:
         return AbelianDecomposition(0, (), None)
-    return AbelianDecomposition(
-        len(factors), tuple(factors), IntMatrix.from_rows(gen_rows)
-    )
+    factors, gen_rows = zip(*kept)
+    return AbelianDecomposition(len(factors), factors, IntMatrix.from_rows(gen_rows))

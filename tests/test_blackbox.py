@@ -384,6 +384,18 @@ def test_extend_d4_center_by_rotation():
     assert len(rotations) == 4
 
 
+@pytest.mark.parametrize("coherent", [False, True])
+@pytest.mark.parametrize("group, gen", [("D4", 0), ("Q8", 0), ("Q8", 1), ("U15", 0)])
+def test_extension_off_its_precondition_names_it(group, gen, coherent):
+    # each generator has order 4 with m = 2, so u^m is outside the trivial
+    # subgroup; seeded at seed 0 the amplitudes then fail to factor
+    backend, m = ZOO[group][0]()
+    ctx = BlackboxContext(backend, m, mode="seeded", seed=0)
+    copies = [ctx.identity_state(), ctx.identity_state()]
+    with pytest.raises(PromiseError, match=r"u\^m must lie in N"):
+        extend_superposition(copies, backend.generators[gen], ctx, coherent=coherent)
+
+
 @pytest.mark.parametrize("s", [2, 3])
 def test_hybrid_and_coherent_extension_agree(s):
     cases = []

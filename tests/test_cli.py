@@ -4,7 +4,9 @@ import pytest
 
 from hspsim import cli as cli_module
 from hspsim import state as state_module
+from hspsim.blackbox import BlackboxContext, build_polycyclic_series, derived_chain
 from hspsim.cli import main
+from hspsim.groups import load_group
 
 
 def child_env():
@@ -463,6 +465,24 @@ def test_group_derived_command(tmp_path, capsys):
     assert code == 0
     chain = report["derived_series"]
     assert len(chain) == 3 and chain[-1] == []
+
+
+def test_group_derived_builds_the_series_once(tmp_path, capsys):
+    # the report's rounds are the series' and the derived chain's, no more
+    a4 = {"kind": "permutation", "degree": 4, "m": 6,
+          "generators": [[1, 2, 0, 3], [1, 0, 3, 2]]}
+    grp = write(tmp_path, "a4.json", a4)
+    _, series = run_cli(capsys, "--mode", "deterministic", "group", "series", grp)
+    code, report = run_cli(capsys, "--mode", "deterministic", "group", "derived", grp)
+    assert code == 0
+    assert report["derived_series"] == [[201, 177], [177, 78], []]
+    backend, m = load_group(a4)
+    ctx = BlackboxContext(backend, m, mode="deterministic")
+    built = build_polycyclic_series(backend, m, ctx)
+    before = ctx.stats.rounds
+    assert derived_chain(built, ctx) == report["derived_series"]
+    chain_rounds = ctx.stats.rounds - before
+    assert report["stats"]["rounds"] == series["stats"]["rounds"] + chain_rounds == 34
 
 
 def test_group_decompose_with_normal_subgroup(tmp_path, capsys):

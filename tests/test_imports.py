@@ -1,10 +1,13 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and no module
+defines a private function or class that no module reads.
 
 Each module of `src/hspsim` except the package's `__init__.py`, which
 re-exports, is parsed with `ast`.  A module-level import binds a name; the
 module uses it when the name is read anywhere in the module, as a plain name
 or as the base of an attribute, in a quoted annotation, or listed in
-`__all__`.
+`__all__`.  A module-level function or class whose name starts with an
+underscore is read when some module of the package, `__init__.py` included,
+names it as a plain name or as an attribute.
 """
 
 import ast
@@ -14,6 +17,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hspsim"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(SRC.glob("*.py"))
 
 
 def _bound_names(tree: ast.Module) -> dict[str, int]:
@@ -74,3 +78,42 @@ def test_the_check_sees_an_unused_import():
     )
     bound = _bound_names(tree)
     assert sorted(n for n in bound if n not in _used_names(tree)) == ["a"]
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Name -> line of each module-level private function or class."""
+    return {
+        node.name: node.lineno
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    }
+
+
+def _read_names(tree: ast.AST) -> set[str]:
+    return _names(tree) | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
+
+def _unread_private(trees: dict[str, ast.Module]) -> dict[str, int]:
+    read = set().union(*map(_read_names, trees.values()))
+    return {
+        f"{name}:{def_name}": line
+        for name, tree in trees.items()
+        for def_name, line in _private_definitions(tree).items()
+        if def_name not in read
+    }
+
+
+def test_every_private_definition_is_read():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE}
+    unread = _unread_private(trees)
+    assert not unread, f"private functions or classes no module reads: {unread}"
+
+
+def test_the_check_sees_an_unread_private_function():
+    trees = {
+        "a.py": ast.parse("def _kept(): pass\ndef _dead(): pass\nclass _Gone: pass\n"),
+        "b.py": ast.parse("from a import _kept\nimport a\nx = a._kept() or _kept\n"),
+    }
+    assert sorted(_unread_private(trees)) == ["a.py:_Gone", "a.py:_dead"]

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations, product as cartesian
 from math import gcd
@@ -31,7 +32,6 @@ from hspsim.lattice import (
     subgroup_order,
     trivial_subgroup,
     _least_step,
-    _smith_with_inverse,
 )
 
 from conftest import enumerate_subgroup_hnfs, lattice_points
@@ -216,6 +216,33 @@ def test_snf_reconstruction_and_uniqueness_property(data):
         assert prefix == divisor
     U, V = _unimodular(data, n), _unimodular(data, s)
     assert smith_normal_form((U @ M) @ V)[0] == S
+
+
+# A pinned SHA-256 over S, L and R of `smith_normal_form` and the
+# `invariant_factor_decomposition` (or its error) of a fixed seeded batch, so
+# that the multipliers cannot move silently.  A change that alters them on
+# purpose must say so and re-pin.
+SMITH_PINNED = "5f5be5bae1e6844a6b92c93e8ee9ca1bc6e8d6c60196054a06f199a2f0c3480a"
+
+
+def test_smith_outputs_are_pinned():
+    # shapes up to 6 x 7, entries up to +-1000, about a fifth of them zero
+    rng = random.Random(2023)
+    digest = hashlib.sha256()
+    for _ in range(400):
+        n, s = rng.randint(1, 6), rng.randint(1, 7)
+        M = IntMatrix.from_rows(
+            [[0 if rng.random() < 0.2 else rng.randint(-1000, 1000) for _ in range(s)]
+             for _ in range(n)]
+        )
+        S, L, R = smith_normal_form(M)
+        try:
+            dec = invariant_factor_decomposition(M, n)
+            factored = (dec.factors, dec.generator_matrix and dec.generator_matrix.data)
+        except ValueError as exc:
+            factored = str(exc)
+        digest.update(repr((S.data, L.data, R.data, factored)).encode())
+    assert digest.hexdigest() == SMITH_PINNED
 
 
 # ---------------------------------------------------------------------------
@@ -593,16 +620,33 @@ def test_lift_is_the_enumerated_preimage_of_multiplication_by_m(rep):
 @settings(max_examples=60, deadline=None)
 @given(small_subgroups(exponents=(1, 2, 3)))
 def test_lift_and_section_read_one_smith_form(rep):
-    # section_map first, so lift_by_m reads the Smith form the rep keeps
+    # section_map first, so lift_by_m reads the section the rep keeps
     m, n = rep.m, rep.n
-    S, _, _, Linv = _smith_with_inverse(rep.hnf)
-    diag = tuple(S.data[i][i] for i in range(n))
+    S, L, _ = smith_normal_form(rep.hnf)
+    diag = [S.data[i][i] for i in range(n)]
     section = section_map(rep)
-    assert (section.diag, section.linv) == (diag, Linv)
-    cols = [[d // gcd(d, m) * Linv.data[r][i] for r in range(n)] for i, d in enumerate(diag)]
+    assert section.g == tuple(gcd(d, m) for d in diag)
+    # the columns are L^-1's, stretched by d_i / g_i
+    unstretched = []
+    for col, d, g in zip(section.cols, diag, section.g):
+        assert all(c % (d // g) == 0 for c in col)
+        unstretched.append([c // (d // g) for c in col])
+    assert L @ IntMatrix.from_columns(unstretched) == IntMatrix.identity(n)
     lifted = lift_by_m(rep)
-    assert lifted == subgroup_from_generators(cols, m, rep.k, n)
+    assert lifted == subgroup_from_generators(section.cols, m, rep.k, n)
     assert section_map(rep, lifted) == section
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_section_is_linear_modulo_its_subgroup(data):
+    # section(x) - sum of x_i * cols_i lies in the rep, for any integer x:
+    # the claim `SectionMap.preimage` rests on
+    rep = data.draw(small_subgroups(exponents=(1, 2, 3)))
+    x = data.draw(st.tuples(*[st.integers(-3 * rep.m, 3 * rep.m)] * rep.n))
+    section = section_map(rep)
+    linear = [sum(xi * col[l] for xi, col in zip(x, section.cols)) for l in range(rep.n)]
+    assert contains_element(rep, [a - b for a, b in zip(section(x), linear)])
 
 
 def test_section_map_examples():
