@@ -87,12 +87,11 @@ class PolycyclicSeries:
 @dataclass
 class Presentation:
     """Relations of a finitely generated abelian factor plus its invariant
-    factor decomposition."""
+    factor decomposition; k is the exponent of the Z_{m^k}^n instance that
+    found the relations."""
 
     relations: IntMatrix
     decomposition: AbelianDecomposition
-    exponents: tuple[int, ...]
-    modulus: int
     k: int
 
 
@@ -231,14 +230,12 @@ def abelian_presentation(gens, k_prep, ctx: BlackboxContext) -> Presentation:
     if n == 0:
         raise ValueError("need at least one generator")
     arith = ctx.arith
-    exps = []
+    k = 1
     for g in gens:
         e = arith.order_m_exponent(g)
         if e is None:
             raise BadOrderError(f"order of {g} does not divide a power of {ctx.m}")
-        exps.append(e)
-    k = max(1, max(exps))
-    q = ctx.m**k
+        k = max(k, e)
 
     k_state = k_prep.state if isinstance(k_prep, StatePrep) else k_prep
 
@@ -277,7 +274,7 @@ def abelian_presentation(gens, k_prep, ctx: BlackboxContext) -> Presentation:
     )
     relations = res.subgroup.hnf
     decomposition = invariant_factor_decomposition(relations, n)
-    return Presentation(relations, decomposition, tuple(exps), ctx.m, k)
+    return Presentation(relations, decomposition, k)
 
 
 def order_modulo(g: int, sub_state: SparseState, ctx: BlackboxContext) -> int:
@@ -305,19 +302,11 @@ def _sample_coset_phases(state: SparseState, u: int, ctx: BlackboxContext) -> Sp
     return fourier_sample(oracle, ctx.q, ctx.stats)
 
 
-def _pair_multiply(
-    left: SparseState, right: SparseState, fn, ctx: BlackboxContext
-) -> tuple[SparseState, SparseState]:
-    """Apply a two-register content map and split the exact product back apart."""
-    lname = left.layout.registers[0].name
-    rname = right.layout.registers[0].name
-    if lname == rname:
-        right = rename_register(right, rname, rname + "_r")
-        rname = rname + "_r"
-    merged = tensor(left, right)
-    merged = apply_classical_map(merged, fn)
-    new_left, new_right = factor_split(merged, [lname])
-    return new_left, new_right
+def _pair_multiply(left: SparseState, right: SparseState, fn) -> tuple[SparseState, SparseState]:
+    """Apply a two-register content map to two states on differently named
+    registers and split the exact product back apart."""
+    merged = apply_classical_map(tensor(left, right), fn)
+    return factor_split(merged, [left.layout.registers[0].name])
 
 
 def extend_superposition(
@@ -328,10 +317,10 @@ def extend_superposition(
     Each copy is Fourier-sampled against left translation by u
     (`_sample_coset_phases`); the sampled digits are measured and dropped
     (every later operation commutes with that measurement)
-    and combined with gcd-preserving coefficients so that content
-    multiplications drive the last register's index to a generator and the
-    others' to zero -- the zero-index state is exactly the uniform
-    superposition over the extended subgroup.
+    and combined by one plan (`_extension_plan`: gcd-preserving coefficients,
+    then ratios) so that content multiplications drive the last register's
+    index to a generator and the others' to zero -- the zero-index state is
+    exactly the uniform superposition over the extended subgroup.
 
     Returns (list of s-1 subgroup states, garbage state, measured indices).
     The step needs u^m in N; when the amplitudes fail to factor and u^m is
@@ -347,11 +336,13 @@ def extend_superposition(
 
 
 def _extend_superposition_hybrid(copies, u: int, ctx: BlackboxContext):
-    """`extend_superposition` with each sampled digit measured and dropped."""
+    """`extend_superposition` with each sampled digit measured and dropped:
+    the measured indices' plan is applied one pair of copies at a time,
+    coefficient kicks and then ratio kicks, each split back apart."""
     s = len(copies)
     if s < 2:
         raise ValueError("need at least two copies")
-    m = ctx.m
+    m, mul, power = ctx.m, ctx.arith.mul, ctx.power
     states = []
     ys = []
     for i, st in enumerate(copies):
@@ -362,31 +353,18 @@ def _extend_superposition_hybrid(copies, u: int, ctx: BlackboxContext):
         ys.append(y)
         states.append(drop_register(work, "x0"))
 
-    if any(ys):
-        coeffs = combine_many(ys, m)
-        ylast = ys[-1]
-        for i in range(s - 1):
-            if coeffs[i] % m:
-                e = -coeffs[i]
-
-                def kick(lbl, e=e):
-                    return (ctx.arith.mul(ctx.power(lbl[1], e), lbl[0]), lbl[1])
-
-                states[i], states[s - 1] = _pair_multiply(
-                    states[i], states[s - 1], kick, ctx
-                )
-            ylast = (ylast + coeffs[i] * ys[i]) % m
-        gen = ylast
-        for i in range(s - 1):
-            t = _discrete_ratio(ys[i], gen, m)
-            if t % m:
-
-                def kick2(lbl, t=t):
-                    return (lbl[0], ctx.arith.mul(ctx.power(lbl[0], t), lbl[1]))
-
-                states[i], states[s - 1] = _pair_multiply(
-                    states[i], states[s - 1], kick2, ctx
-                )
+    coeffs, ts = _extension_plan(ys, m)
+    # each copy i is multiplied by the last copy's content to the power
+    # -coeffs[i], then the last copy by copy i's content to the power ts[i]
+    kicks = [
+        (i, lambda lbl, e=-c: (mul(power(lbl[1], e), lbl[0]), lbl[1]))
+        for i, c in enumerate(coeffs) if c % m
+    ] + [
+        (i, lambda lbl, t=t: (lbl[0], mul(power(lbl[0], t), lbl[1])))
+        for i, t in enumerate(ts) if t % m
+    ]
+    for i, kick in kicks:
+        states[i], states[-1] = _pair_multiply(states[i], states[-1], kick)
     outputs = [
         _canonical_phase(rename_register(st, st.layout.registers[0].name, "val"))
         for st in states[: s - 1]
@@ -409,6 +387,20 @@ def _canonical_phase(state: SparseState) -> SparseState:
     return SparseState(state.layout, state.backend, scale, amps)
 
 
+def _extension_plan(ys, m: int) -> tuple[list[int], list[int]]:
+    """The recombination of s measured indices ys: gcd-preserving
+    coefficients c_i (`combine_many`), which kick copy s-1's content into
+    copy i so that g = ys[-1] + sum c_i ys[i] generates their gcd mod m, and
+    the ratios t_i = ys[i] / g, which kick copy i's content back into copy
+    s-1 and leave every other copy at index zero.  All zero when every index
+    is zero."""
+    if not any(ys):
+        return [0] * (len(ys) - 1), [0] * (len(ys) - 1)
+    coeffs = combine_many(list(ys), m)
+    gen = (ys[-1] + sum(c * y for c, y in zip(coeffs, ys))) % m
+    return coeffs, [_discrete_ratio(y, gen, m) for y in ys[:-1]]
+
+
 def _discrete_ratio(target: int, base: int, m: int) -> int:
     """Least nonnegative t with t*base = target mod m (0 in the degenerate
     all-zero branch)."""
@@ -425,11 +417,12 @@ def _discrete_ratio(target: int, base: int, m: int) -> int:
 def _extend_superposition_coherent(copies, u: int, ctx: BlackboxContext):
     """Fully unitary variant (no measurements), for cross-checking the hybrid
     path on small instances: each copy's sampled digit is renamed y{i} and
-    left unmeasured, the copies are tensored, coefficients are computed per
-    sampled-index tuple inside one big classical map, and the subgroup copies
-    are split off the still-entangled garbage at the end."""
+    left unmeasured, the copies are tensored, one big classical map applies
+    each sampled-index tuple's `_extension_plan` (kept in a dict of plans),
+    and the subgroup copies are split off the still-entangled garbage at the
+    end."""
     s = len(copies)
-    m = ctx.m
+    m, mul, power = ctx.m, ctx.arith.mul, ctx.power
     big = None
     for i, st in enumerate(copies):
         st = rename_register(st, st.layout.registers[0].name, f"c{i}")
@@ -438,36 +431,21 @@ def _extend_superposition_coherent(copies, u: int, ctx: BlackboxContext):
 
     y_idx = [big.layout.index[f"y{i}"] for i in range(s)]
     c_idx = [big.layout.index[f"c{i}"] for i in range(s)]
-    plan_cache: dict[tuple[int, ...], tuple] = {}
-
-    def plan(ys: tuple[int, ...]):
-        got = plan_cache.get(ys)
-        if got is None:
-            if any(ys):
-                coeffs = combine_many(list(ys), m)
-                gen = (ys[-1] + sum(c * y for c, y in zip(coeffs, ys))) % m
-                ts = [_discrete_ratio(ys[i], gen, m) for i in range(s - 1)]
-            else:
-                coeffs = [0] * (s - 1)
-                ts = [0] * (s - 1)
-            got = (coeffs, ts)
-            plan_cache[ys] = got
-        return got
+    plans: dict[tuple[int, ...], tuple] = {}  # measured indices -> their plan
 
     def kick_all(lbl):
         ys = tuple(lbl[i] for i in y_idx)
-        coeffs, ts = plan(ys)
+        plan = plans.get(ys)
+        if plan is None:
+            plan = plans[ys] = _extension_plan(ys, m)
+        coeffs, ts = plan
         contents = [lbl[i] for i in c_idx]
-        for i in range(s - 1):
-            if coeffs[i] % m:
-                contents[i] = ctx.arith.mul(
-                    ctx.power(contents[s - 1], -coeffs[i]), contents[i]
-                )
-        for i in range(s - 1):
-            if ts[i] % m:
-                contents[s - 1] = ctx.arith.mul(
-                    ctx.power(contents[i], ts[i]), contents[s - 1]
-                )
+        for i, c in enumerate(coeffs):
+            if c % m:
+                contents[i] = mul(power(contents[-1], -c), contents[i])
+        for i, t in enumerate(ts):
+            if t % m:
+                contents[-1] = mul(power(contents[i], t), contents[-1])
         out = list(lbl)
         for i, c in zip(c_idx, contents):
             out[i] = c
@@ -518,25 +496,21 @@ def _member(ctx: BlackboxContext, u: int, series: PolycyclicSeries) -> bool:
 
 
 def _extend_series_abelian(
-    ctx: BlackboxContext, series: PolycyclicSeries, new_elements
+    ctx: BlackboxContext, series: PolycyclicSeries, g: int
 ) -> PolycyclicSeries:
-    """Extend a series by elements that commute with each other modulo the
-    current subgroup and normalize it; each extension is refined into levels
-    whose factor orders divide the working modulus."""
+    """Extend a series by an element that normalizes the current subgroup;
+    the extension is refined into levels whose factor orders divide the
+    working modulus."""
     elems = list(series.elements)
     orders = list(series.factor_orders)
-    for g in new_elements:
-        e = order_modulo(g, _series_state(ctx, tuple(elems)), ctx)
-        running = e
-        while running > 1:
-            c = gcd(running, ctx.m)
-            if c == 1:
-                raise BadOrderError(
-                    f"factor order {running} shares no factor with {ctx.m}"
-                )
-            running //= c
-            elems.append(ctx.power(g, running))
-            orders.append(c)
+    running = order_modulo(g, _series_state(ctx, tuple(elems)), ctx)
+    while running > 1:
+        c = gcd(running, ctx.m)
+        if c == 1:
+            raise BadOrderError(f"factor order {running} shares no factor with {ctx.m}")
+        running //= c
+        elems.append(ctx.power(g, running))
+        orders.append(c)
     return PolycyclicSeries(elems, orders)
 
 
@@ -573,7 +547,7 @@ def _polycyclic_series(ctx: BlackboxContext, generators):
             if arith.order_m_exponent(x) is None:
                 return BadOrder(element=x)
             conjugates = [x]
-            ext = _extend_series_abelian(ctx, series, [x])
+            ext = _extend_series_abelian(ctx, series, x)
             replaced = False
             while True:
                 escape = None
@@ -602,7 +576,7 @@ def _polycyclic_series(ctx: BlackboxContext, generators):
                     replaced = True
                     break
                 conjugates.append(escape)
-                ext = _extend_series_abelian(ctx, ext, [escape])
+                ext = _extend_series_abelian(ctx, ext, escape)
             if not replaced:
                 break
 
@@ -637,7 +611,7 @@ def commutator_subgroup(
         w = queue.pop(0)
         c = ctx.arith.commutator(w, g)
         if not _member(ctx, c, current):
-            current = _extend_series_abelian(ctx, current, [c])
+            current = _extend_series_abelian(ctx, current, c)
             queue.append(c)
     return current
 
@@ -665,17 +639,23 @@ def derived_chain(series: PolycyclicSeries, ctx: BlackboxContext) -> list[list[i
     return chain
 
 
+def subgroup_state(gens, ctx: BlackboxContext) -> SparseState:
+    """|N> for the subgroup N the given elements generate, built along one
+    polycyclic series of N; PromiseError when N is not solvable of m-power
+    order."""
+    series = _polycyclic_series(ctx, list(gens))
+    if not isinstance(series, PolycyclicSeries):
+        raise PromiseError(f"normal subgroup is not solvable of m-power order: {series}")
+    return _series_state(ctx, tuple(series.elements))
+
+
 def abelian_factor_decomposition(
     backend: GroupBackend, normal_gens, m: int, ctx: BlackboxContext | None = None
 ) -> AbelianDecomposition:
     """Invariant factors of (whole group)/(normal subgroup), the factor assumed
-    abelian: builds a series for the normal subgroup, then presents the input
-    generators modulo it."""
+    abelian: `subgroup_state` builds |N>, then `abelian_presentation`
+    presents the input generators modulo it."""
     if ctx is None:
         ctx = BlackboxContext(backend, m)
-    sub_series = _polycyclic_series(ctx, list(normal_gens))
-    if not isinstance(sub_series, PolycyclicSeries):
-        raise PromiseError(f"normal subgroup is not solvable of m-power order: {sub_series}")
-    sub_state = _series_state(ctx, tuple(sub_series.elements))
-    pres = abelian_presentation(backend.generators, sub_state, ctx)
-    return pres.decomposition
+    n_state = subgroup_state(normal_gens, ctx)
+    return abelian_presentation(backend.generators, n_state, ctx).decomposition

@@ -13,7 +13,6 @@ import json
 import os
 import sys
 from contextlib import redirect_stdout
-from dataclasses import dataclass
 from math import gcd as _gcd
 
 from . import blackbox as bb
@@ -36,16 +35,6 @@ from .lattice import (
 from .state import ResourceLimitError, SimulationError
 
 SCHEMA = "1"
-
-
-@dataclass
-class RunConfig:
-    backend: str = "exact"
-    mode: str = "seeded"
-    seed: int = 0
-    output: str | None = None
-    verbose: bool = False
-    assert_exact: bool = False
 
 
 class InputError(Exception):
@@ -84,11 +73,11 @@ def _load_matrix(path: str) -> IntMatrix:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _emit(report: dict, cfg: RunConfig) -> None:
+def _emit(report: dict, output: str | None) -> None:
     report = {"schema": SCHEMA, **report}
     text = json.dumps(report, indent=2)
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
+    if output:
+        with open(output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -99,7 +88,8 @@ def _emit(report: dict, cfg: RunConfig) -> None:
 
 
 def _cmd_hsp_solve(args) -> int:
-    cfg = _config(args)
+    if args.assert_exact and args.backend != "exact":
+        raise InputError("--assert-exact requires --backend exact")
     payload = _read_json(args.instance)
     try:
         m = _integer(payload["m"], "m")
@@ -116,12 +106,7 @@ def _cmd_hsp_solve(args) -> int:
     except ValueError as exc:
         raise InputError(f"bad instance file: {exc}") from exc
     oracle = build_coset_oracle(hidden)
-    res = solve_hsp(
-        oracle,
-        mode=cfg.mode,
-        seed=cfg.seed,
-        backend=cfg.backend,
-    )
+    res = solve_hsp(oracle, mode=args.mode, seed=args.seed, backend=args.backend)
     report = {
         "command": "hsp solve",
         "m": m,
@@ -132,20 +117,19 @@ def _cmd_hsp_solve(args) -> int:
         "stats": res.stats.to_dict(),
         "trace": [t.to_dict() for t in res.trace],
     }
-    if cfg.assert_exact:
+    if args.assert_exact:
         report["exactness"] = {
             "backend": "exact",
             "output_verified_against_oracle": verify_hidden(oracle, res.subgroup),
         }
         if not report["exactness"]["output_verified_against_oracle"]:
-            _emit(report, cfg)
+            _emit(report, args.output)
             return 1
-    _emit(report, cfg)
+    _emit(report, args.output)
     return 0
 
 
 def _cmd_lattice(args) -> int:
-    cfg = _config(args)
     mat = _load_matrix(args.matrix)
     if args.op == "hnf":
         H, U = hermite_normal_form(mat)
@@ -154,7 +138,7 @@ def _cmd_lattice(args) -> int:
             "hnf": matrix_to_json(H),
             "multiplier": matrix_to_json(U),
         }
-        if cfg.verbose:
+        if args.verbose:
             print(format_matrix_text(H), file=sys.stderr)
     elif args.op == "snf":
         S, L, R = smith_normal_form(mat)
@@ -181,12 +165,11 @@ def _cmd_lattice(args) -> int:
         }
     else:
         raise InputError(f"unknown lattice op {args.op}")
-    _emit(report, cfg)
+    _emit(report, args.output)
     return 0
 
 
 def _cmd_gcd_combine(args) -> int:
-    cfg = _config(args)
     if args.m < 1:
         raise InputError(f"gcd-combine needs -m >= 1, got {args.m}")
     zs = [z % args.m for z in args.values]
@@ -206,24 +189,23 @@ def _cmd_gcd_combine(args) -> int:
         "target_gcd": target,
         "exact": achieved == target,
     }
-    _emit(report, cfg)
+    _emit(report, args.output)
     return 0 if achieved == target else 1
 
 
 def _cmd_group(args) -> int:
-    cfg = _config(args)
     payload = _read_json(args.group)
     try:
         backend, m = load_group(payload)
     except NotAGroupError as exc:
         report = {"command": f"group {args.op}", "status": "not-a-group"}
         report["reason"] = str(exc)
-        _emit(report, cfg)
+        _emit(report, args.output)
         return 1
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad group file: {exc}") from exc
     ctx = bb.BlackboxContext(
-        backend, m, amp_backend=cfg.backend, mode=cfg.mode, seed=cfg.seed
+        backend, m, amp_backend=args.backend, mode=args.mode, seed=args.seed
     )
     report: dict = {"command": f"group {args.op}", "kind": backend.kind, "m": m}
 
@@ -231,12 +213,12 @@ def _cmd_group(args) -> int:
     if isinstance(built, bb.BadOrder):
         report["status"] = "bad-order"
         report["element"] = built.element
-        _emit(report, cfg)
+        _emit(report, args.output)
         return 0
     if isinstance(built, bb.NotSolvable):
         report["status"] = "not-solvable"
         report["replacements"] = built.replacements
-        _emit(report, cfg)
+        _emit(report, args.output)
         return 0
     report["status"] = "ok"
     report["series"] = {
@@ -257,7 +239,17 @@ def _cmd_group(args) -> int:
             ]
         except (TypeError, ValueError) as exc:
             raise InputError(f"bad normal subgroup generators: {exc}") from exc
-        decomp = bb.abelian_factor_decomposition(backend, ngens, m, ctx)
+        # present G/N only once every commutator of two generators lies in N
+        n_state = bb.subgroup_state(ngens, ctx)
+        gens = backend.generators
+        for i, a in enumerate(gens):
+            for b in gens[i + 1 :]:
+                if not bb.superposition_membership(ctx.arith.commutator(a, b), n_state, ctx):
+                    raise bb.PromiseError(
+                        f"the quotient is not abelian: generators {a} and {b} "
+                        "have a commutator outside the normal subgroup"
+                    )
+        decomp = bb.abelian_presentation(gens, n_state, ctx).decomposition
         report["decomposition"] = {
             "factors": list(decomp.factors),
             "generator_matrix": decomp.generator_matrix.to_lists()
@@ -268,12 +260,11 @@ def _cmd_group(args) -> int:
         raise InputError(f"unknown group op {args.op}")
     report["stats"] = ctx.stats.to_dict()
     report["group_oracle_calls"] = backend.mul_calls
-    _emit(report, cfg)
+    _emit(report, args.output)
     return 0
 
 
 def _cmd_selftest(args) -> int:
-    cfg = _config(args)
     failures = []
     checks = 0
 
@@ -282,7 +273,7 @@ def _cmd_selftest(args) -> int:
         checks += 1
         if not ok:
             failures.append(name)
-        if cfg.verbose:
+        if args.verbose:
             print(("PASS " if ok else "FAIL ") + name, file=sys.stderr)
 
     # lattice identities on a fixed pseudo-random batch
@@ -338,7 +329,7 @@ def _cmd_selftest(args) -> int:
         "failures": failures,
         "ok": not failures,
     }
-    _emit(report, cfg)
+    _emit(report, args.output)
     return 0 if not failures else 1
 
 
@@ -358,20 +349,6 @@ def _small_subgroup_generators(m, n):
 
 # ---------------------------------------------------------------------------
 # Argument parsing
-
-
-def _config(args) -> RunConfig:
-    cfg = RunConfig(
-        backend=getattr(args, "backend", "exact"),
-        mode=getattr(args, "mode", "seeded"),
-        seed=getattr(args, "seed", 0),
-        output=getattr(args, "output", None),
-        verbose=getattr(args, "verbose", False),
-        assert_exact=getattr(args, "assert_exact", False),
-    )
-    if cfg.assert_exact and cfg.backend != "exact":
-        raise InputError("--assert-exact requires --backend exact")
-    return cfg
 
 
 def _int_arg(text: str) -> int:

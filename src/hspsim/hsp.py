@@ -48,7 +48,8 @@ cosets are orthogonal.  `verify_hidden` runs the same scan.  An oracle off
 that promise keeps its hidden subgroup unknown and runs the dense round,
 which stays the reference every reduced path is checked against.
 
-The Fourier-sampled state Phi (QFT, f, QFT from |0>) depends only on the
+The Fourier-sampled state Phi is `fourier_sample` on the oracle, without
+the round's helper qubits, which are zero in it; it depends only on the
 oracle and the amplitude backend, so the dense round computes it once per
 oracle and backend.  A pass is prep, phase i on flagged labels, and the
 reflection I + (i - 1)|Psi><Psi| about Psi = prep|0>, so a label whose Psi
@@ -62,11 +63,13 @@ those classes; the post-pass state is built only for a capture hook or a
 caller that asks for it.  The Hadamard, phase and reflection steps run only
 in the literal pass the tests compare it with.
 
-Queries run forwards only: the reflection's uncompute, prep^{-1}, is never
-simulated, and its inverse oracle and QFT calls are charged by counting prep
-in reverse (`Circuit.count(inverse=True)`).  Running a circuit records no
-query: `Circuit.count` is the one accounting path, and `OracleStep.count`
-the one place an f call is charged.
+A query is one pass over the labels (`OracleStep`): it writes the oracle's
+prepared block where the value block is zero and relabels the block by
+mult.  Queries run forwards only: the reflection's uncompute, prep^{-1}, is
+never simulated, and its inverse oracle and QFT calls are charged by
+counting prep in reverse (`Circuit.count(inverse=True)`).  Running a
+circuit records no query: `Circuit.count` is the one accounting path, and
+`OracleStep.count` the one place an f call is charged.
 
 Both rounds are generators that yield each (probe, j) pass's measured x
 with its pairing and keep no books.  `hsp_round` alone records them: the
@@ -102,7 +105,7 @@ from .state import (
     Circuit,
     ClassicalStep,
     HadamardStep,
-    PrepStep,
+    NonBijectionError,
     QftStep,
     Register,
     RegisterLayout,
@@ -112,7 +115,6 @@ from .state import (
     Step,
     _check_support,
     amplitude_amplify,
-    apply_classical_map,
     inner_product_unscaled,
     make_backend,
     pick_outcome,
@@ -233,13 +235,14 @@ class HidingOracle:
 
     `mult` relabels the value block into f(x): the block is the prepared
     state `prep` when the oracle has one, else |0> on the value registers.
-    `label_fn=f` is a short way to build `mult` for a classical f: it adds
-    f(x) into the value digits.  No inverse query is ever simulated: the
-    amplification pass uncomputes by a reflection about the prepared state
-    and only counts its inverse queries.  An oracle built with `hidden` is
-    known to hide that subgroup and is not checked; one built without it
-    finds its subgroup by one exact scan when it keeps the promise
-    (`hidden_known`), so reduced rounds run on it either way.
+    A preparation acts on exactly the value registers, in their order, or
+    the oracle is refused.  `label_fn=f` is a short way to build `mult` for
+    a classical f: it adds f(x) into the value digits.  No inverse query is
+    ever simulated: the amplification pass uncomputes by a reflection about
+    the prepared state and only counts its inverse queries.  An oracle built
+    with `hidden` is known to hide that subgroup and is not checked; one
+    built without it finds its subgroup by one exact scan when it keeps the
+    promise (`hidden_known`), so reduced rounds run on it either way.
     """
 
     def __init__(
@@ -261,6 +264,8 @@ class HidingOracle:
             )
         self.m, self.k, self.n = m, k, n
         self.value_registers = tuple(value_registers)
+        if prep is not None and prep.registers != tuple(r.name for r in self.value_registers):
+            raise ValueError("a preparation must act on the oracle's value registers")
         self.prep = prep
         self._hidden = hidden
         self._scanned = False
@@ -318,8 +323,6 @@ class HidingOracle:
         if self.prep is None:
             backend, scale = None, 1
             block = {(0,) * len(regs): 1}
-        elif self.prep.registers != tuple(r.name for r in regs):
-            return None  # the scan reads f(0) as the prepared value block
         else:
             psi = self.prep.state
             backend, scale, block = psi.backend, psi.scale, psi.amps
@@ -354,7 +357,7 @@ class HidingOracle:
             return SparseState(layout, backend, scale, dict(classes[c]))
 
         for a, b in meeting:
-            if not backend.is_zero(inner_product_unscaled(state(a), state(b)), scale**2):
+            if not backend.is_zero(inner_product_unscaled(state(a), state(b)), scale * scale):
                 return None
         return hidden
 
@@ -368,26 +371,26 @@ class HidingOracle:
         return hidden._complement, hidden.det()
 
     def sampled_state(self, backend) -> SparseState:
-        """QFT, f, QFT over Z_m^n run from |0> on the round layout, helper
-        qubits still zero.  It depends only on the oracle and the amplitude
-        backend, so it is computed once per backend and shared by every
-        (probe, j) pass, which builds new states from it and never changes
-        it.  No query is recorded here: each pass records its own."""
+        """The Fourier-sampled state Phi, `fourier_sample` on this oracle: QFT,
+        f, QFT over Z_m^n from |0> on the sampling layout.  The round's helper
+        qubits are zero in Phi, so they are left out of it.  Phi depends only
+        on the oracle and the amplitude backend, so it is computed once per
+        backend and shared by every (probe, j) pass, which builds new states
+        from it and never changes it.  No query is recorded here: each pass
+        records its own."""
         key = (backend.name, backend.root_order)
         phi = self._sampled.get(key)
         if phi is None:
-            layout = sampling_layout(self, with_helpers=True)
-            phi = sampling_circuit(self).run(prepare_zero(layout, backend))
-            self._sampled[key] = phi
+            phi = self._sampled[key] = fourier_sample(self, backend)
         return phi
 
     def sampled_tally(self, backend) -> tuple[list, dict]:
-        """The sampled state's labels (x, v, 0, 0) that are nonzero at Psi's
-        scale 2 * N_Phi, grouped by their x tuple and amplitude: a list of
-        ((x, key), count) entries from `backend.tally`, key the backend's
-        memo_key, and a dict from each key to its amplitude.  Computed once
-        per backend beside the sampled state, so it is freed with the
-        oracle."""
+        """The labels (x, v) of the sampled state, which has no helper
+        qubits, that are nonzero at Psi's scale 2 * N_Phi, grouped by their x
+        tuple and amplitude: a list of ((x, key), count) entries from
+        `backend.tally`, key the backend's memo_key, and a dict from each key
+        to its amplitude.  Computed once per backend beside the sampled
+        state, so it is freed with the oracle."""
         key = (backend.name, backend.root_order)
         out = self._tallies.get(key)
         if out is None:
@@ -436,31 +439,51 @@ class HidingOracle:
 
 @dataclass(frozen=True)
 class OracleStep(Step):
-    """One forward query: prepare the value block if the oracle has a
-    preparation, then relabel it by `mult`.  It runs on a layout that starts
-    as the sampling layout does, x registers then the value block, and reads
-    x and v as slices of each label.  It has no inverse step; a reflection
-    whose preparation holds it counts the inverse query with
-    `Circuit.count(inverse=True)`."""
+    """One forward query, one pass over the labels.  With a preparation, each
+    label's value block must be zero and becomes the prepared block's labels,
+    with one product per distinct (amplitude, prepared amplitude) pair by the
+    backend's memo_key; every block is then relabelled by `mult`, and labels
+    that meet raise NonBijectionError.  Labels keep their order, each
+    followed by its block's labels in the block's order.  It runs on a layout
+    that starts as the sampling layout does, x registers then the value
+    block.  It has no inverse step; a reflection whose preparation holds it
+    counts the inverse query with `Circuit.count(inverse=True)`."""
 
     oracle: HidingOracle
 
     def apply(self, state: SparseState) -> SparseState:
-        o = self.oracle
-        n = o.n
+        o, n = self.oracle, self.oracle.n
         hi = n + len(o.value_registers)
         names = [f"x{i}" for i in range(n)] + [r.name for r in o.value_registers]
         if state.layout.names()[:hi] != names:
             raise ValueError("an oracle query runs on the sampling layout")
-        mult = o.mult
-
-        def fwd(lbl):
-            x = lbl[:n]
-            return x + tuple(mult(x, lbl[n:hi])) + lbl[hi:]
-
+        mult, key, scale = o.mult, state.backend.memo_key, state.scale
         if o.prep is not None:
-            state = PrepStep(o.prep).apply(state)
-        return apply_classical_map(state, fwd)
+            psi = o.prep.state
+            _check_support(len(state.amps) * len(psi.amps))
+            scale *= psi.scale
+        rows: dict = {}  # amplitude key -> (prepared label, product)s in psi's order
+        new = {}
+        for lbl, amp in state.amps.items():
+            x, v, rest = lbl[:n], lbl[n:hi], lbl[hi:]
+            if o.prep is None:
+                row = ((v, amp),)
+            elif any(v):
+                raise SimulationError("prep target registers must be zero")
+            elif (row := rows.get(key(amp))) is None:
+                prods: dict = {}
+                row = rows[key(amp)] = []
+                for plbl, p in psi.amps.items():
+                    pk = key(p)
+                    if pk not in prods:
+                        prods[pk] = amp * p
+                    row.append((plbl, prods[pk]))
+            for w, a in row:
+                nl = x + tuple(mult(x, w)) + rest
+                if nl in new:
+                    raise NonBijectionError(f"labels collide at {nl}")
+                new[nl] = a
+        return SparseState(state.layout, state.backend, scale, new)
 
     def count(self, stats, inverse=False):
         if inverse:
@@ -507,7 +530,8 @@ def sampling_layout(oracle: HidingOracle, with_helpers: bool = False) -> Registe
 
 def fourier_sample(oracle: HidingOracle, backend=None, stats=None) -> SparseState:
     """Transform, query, transform: the sampled register ends supported exactly
-    on the complement of the hidden subgroup."""
+    on the complement of the hidden subgroup.  The one place a sampling
+    circuit runs: every Fourier-sampled state, the dense round's Phi too."""
     if oracle.k != 1:
         raise ValueError("Fourier sampling runs over exponent-1 oracles")
     if backend is None:
@@ -624,21 +648,22 @@ class _DensePasses:
         return flags, values
 
     def state(self, flags: dict, values: list[dict]) -> SparseState:
-        """The pass's post-amplification state, materialized in Psi's order:
-        each label (x, v, 0, 0) of Phi gives (x, v, b, flag), b = 0 then 1."""
-        backend, n, npsi = self.backend, self.oracle.n, self.npsi
-        phi = self.oracle.sampled_state(backend)
-        key = backend.memo_key
+        """The pass's post-amplification state, materialized in Psi's order
+        on the round layout, the one place the helper qubits are appended:
+        each label (x, v) of Phi gives (x, v, b, flag), b = 0 then 1."""
+        oracle, backend, npsi = self.oracle, self.backend, self.npsi
+        n, key = oracle.n, backend.memo_key
         new = {}
-        for lbl, a in phi.amps.items():
+        for lbl, a in oracle.sampled_state(backend).amps.items():
             if backend.is_zero(a, npsi):
                 continue
             k = key(a)
             for b, f in enumerate(flags[self.pairing[lbl[:n]]]):
                 vw = values[f].get(k)
                 if vw is not None:
-                    new[lbl[:-2] + (b, f)] = vw[0]
-        return SparseState(phi.layout, backend, npsi * npsi * npsi, new)
+                    new[lbl + (b, f)] = vw[0]
+        layout = sampling_layout(oracle, with_helpers=True)
+        return SparseState(layout, backend, npsi * npsi * npsi, new)
 
     def measure(self, flags: dict, values: list[dict], mode: str, rng) -> tuple:
         """The x registers measured one at a time, as `measure_registers` would

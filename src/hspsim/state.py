@@ -29,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, sqrt
+from math import inf, isfinite, lcm, sqrt
 from operator import attrgetter
 
 from .cyclotomic import CycloField, Cyclotomic
@@ -271,17 +271,32 @@ class FloatBackend:
     def imag_unit(self) -> complex:
         return 1j
 
+    @staticmethod
+    def _real(scale) -> float:
+        """A scale as a float for the tolerances.  One past the float range
+        is a resource limit, never an inf that every tolerance accepts
+        (1e200 * 1e200 is inf with no exception)."""
+        try:
+            x = float(scale)
+        except OverflowError:  # an integer scale past the float range
+            x = inf
+        if not isfinite(x):
+            raise ResourceLimitError("state scale exceeds the float range")
+        return x
+
     def is_zero(self, amp, scale) -> bool:
-        return abs(amp) <= self.tol * sqrt(float(scale))
+        return abs(amp) <= self.tol * sqrt(self._real(scale))
 
     def is_normalized(self, mass, scale) -> bool:
-        return abs(mass - float(scale)) <= 1e-6 * float(scale)
+        s = self._real(scale)
+        return abs(mass - s) <= 1e-6 * s
 
     def equal(self, a, b, scale) -> bool:
-        return abs(a - b) <= 1e-9 * float(scale)
+        return abs(a - b) <= 1e-9 * self._real(scale)
 
     def overlap(self, z, scale_a, scale_b) -> tuple[bool, bool]:
-        rel = self.abs2(z) / (float(scale_a) * float(scale_b))
+        # the product of two finite scales can still leave the float range
+        rel = self.abs2(z) / self._real(self._real(scale_a) * self._real(scale_b))
         return abs(rel - 1.0) <= 1e-9, abs(rel) <= 1e-9
 
     def is_positive_real(self, z) -> bool:
@@ -794,48 +809,6 @@ class ClassicalStep(Step):
         return ClassicalStep(self.backward, self.forward)
 
 
-@dataclass(frozen=True)
-class PrepStep(Step):
-    """Inject a known state on a block of (all-zero) registers, contiguous
-    and in the preparation's register order.  It has no inverse step: the
-    reflection about a prepared state uncomputes it through the operator
-    identity, and counts the uncompute with `Circuit.count(inverse=True)`."""
-
-    prep: "StatePrep"
-
-    def apply(self, state):
-        regs = self.prep.registers
-        lo = state.layout.index[regs[0]]
-        hi = lo + len(regs)
-        if tuple(state.layout.names()[lo:hi]) != regs:
-            raise ValueError("prep registers must be a contiguous block in layout order")
-        psi = self.prep.state
-        _check_support(len(state.amps) * len(psi.amps))
-        zero = (0,) * len(regs)
-        # amp * pamp depends on the label only through (amp, pamp): each
-        # distinct pair is multiplied once, keyed by the backend's memo_key
-        key = state.backend.memo_key
-        rows: dict = {}  # amplitude key -> (prepared label, product)s in psi's order
-        new = {}
-        for lbl, amp in state.amps.items():
-            if lbl[lo:hi] != zero:
-                raise SimulationError("prep target registers must be zero")
-            k = key(amp)
-            row = rows.get(k)
-            if row is None:
-                prods: dict = {}
-                row = rows[k] = []
-                for plbl, p in psi.amps.items():
-                    pk = key(p)
-                    if pk not in prods:
-                        prods[pk] = amp * p
-                    row.append((plbl, prods[pk]))
-            pre, post = lbl[:lo], lbl[hi:]
-            for plbl, val in row:
-                new[pre + plbl + post] = val
-        return SparseState(state.layout, state.backend, state.scale * psi.scale, new)
-
-
 class ReflectStep(Step):
     """The operator prep . S0(i^turns) . prep^{-1} = I + (i^turns - 1)|Psi><Psi|
     with Psi = prep|0>: a phase reflection about the prepared state.
@@ -913,8 +886,8 @@ class ReflectStep(Step):
 @dataclass(frozen=True)
 class Circuit:
     """A sequence of primitive steps.  `inverse()` needs every step to have
-    an `inverted()`; a preparation or oracle step has none, so a circuit that
-    holds one is only run forwards and counted either way."""
+    an `inverted()`; an oracle step has none, so a circuit that holds one is
+    only run forwards and counted either way."""
 
     steps: tuple[Step, ...]
 
@@ -947,11 +920,12 @@ class Circuit:
 
 class StatePrep:
     """A preparation procedure identified with the state it produces from zeros
-    on a named register block.
+    on a named register block: an oracle's value block, which each query
+    writes where the block is zero (`OracleStep`).
 
     The state may be given as a function of no arguments instead; it is then
     computed on the first read of `state`, so a preparation that no simulated
-    step ever applies never builds its state."""
+    query or scan reads never builds its state."""
 
     def __init__(self, registers, state):
         self.registers = tuple(registers)
@@ -962,9 +936,6 @@ class StatePrep:
         if not isinstance(self._state, SparseState):
             self._state = self._state()
         return self._state
-
-    def as_circuit(self) -> Circuit:
-        return Circuit.of(PrepStep(self))
 
 
 def amplitude_amplify(prep: Circuit, good) -> Circuit:

@@ -25,7 +25,7 @@ from hspsim.blackbox import (
     superposition_membership,
     _swap_oracle,
 )
-from hspsim.groups import TableBackend, UnitsBackend
+from hspsim.groups import PermutationBackend, TableBackend, UnitsBackend
 from hspsim.hsp import QueryStats, solve_hsp
 from hspsim.state import (
     Register,
@@ -615,6 +615,40 @@ def test_derived_series_a4():
     expected = brute_derived_chain(backend.mul, elements, identity)
     assert closures == [set(c) for c in expected]
     assert [len(c) for c in closures] == [12, 4, 1]
+
+
+def with_generators(backend, gens):
+    """A backend for the same group and encoding as `backend`, generated by
+    the element codes gens."""
+    if backend.kind == "permutation":
+        return PermutationBackend(backend.degree, [backend.decode(g) for g in gens])
+    if backend.kind == "table":
+        return TableBackend(backend.table, gens)
+    return UnitsBackend(backend.modulus, gens)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(ZOO)),
+    st.sampled_from(["deterministic", "seeded"]),
+    st.integers(0, 2**32),
+    st.data(),
+)
+def test_structure_of_random_subgroups_matches_brute_force(name, mode, seed, data):
+    # the subgroup of a zoo group that 1-3 random elements generate: its
+    # series and order, and its derived series, against the closures
+    backend, m = ZOO[name][0]()
+    elements, identity = backend_elements(backend)
+    gens = data.draw(st.lists(st.sampled_from(sorted(elements)), min_size=1, max_size=3))
+    sub = with_generators(backend, gens)
+    members = closure(sub.mul, gens, identity)
+    ctx = BlackboxContext(sub, m, mode=mode, seed=seed)
+    series = build_polycyclic_series(sub, m, ctx)
+    assert isinstance(series, PolycyclicSeries)
+    assert group_order(series, ctx) == len(members)
+    chain = derived_series(sub, m, BlackboxContext(sub, m, mode=mode, seed=seed))
+    closures = [closure(sub.mul, g, identity) if g else {identity} for g in chain]
+    assert closures == [set(c) for c in brute_derived_chain(sub.mul, members, identity)]
 
 
 def test_derived_series_rejects_nonsolvable():

@@ -542,3 +542,27 @@ def test_closed_pipe_keeps_the_exit_code(tmp_path):
         os.close(write_end)
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+def test_float_scale_past_the_float_range_is_a_resource_limit(tmp_path, capsys):
+    # at this seed the float backend's state scale overflows while the exact
+    # backend finds order 12; the overflow is reported, not a traceback
+    grp = write(tmp_path, "a4.json", {"kind": "permutation", "degree": 4, "m": 6,
+                                      "generators": [[3, 0, 2, 1], [3, 2, 1, 0], [2, 0, 1, 3]]})
+    assert main(["--backend", "float", "--seed", "6", "group", "order", grp]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("resource limit:")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("mode", ["seeded", "deterministic"])
+def test_group_decompose_rejects_a_nonabelian_quotient(tmp_path, capsys, mode):
+    # S3 modulo the trivial subgroup: S3 is not abelian, so nothing is presented
+    grp = write(tmp_path, "s3.json", {"kind": "permutation", "degree": 3, "m": 6,
+                                      "generators": [[1, 0, 2], [1, 2, 0]],
+                                      "normal_subgroup_generators": []})
+    assert main(["--mode", mode, "group", "decompose", grp]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("promise violation:")

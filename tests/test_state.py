@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from hspsim.cyclotomic import CycloField
-from hspsim.hsp import QueryStats
+from hspsim.hsp import HidingOracle, OracleStep, QueryStats
 from hspsim.state import (
     Circuit,
     ClassicalStep,
@@ -460,38 +460,44 @@ def test_normalization_invariant_across_primitives(rng):
 
 
 # ---------------------------------------------------------------------------
-# Prep steps
+# Prepared value blocks (an oracle query writes its preparation's state)
+
+
+def identity_oracle(m, psi, value_registers=None):
+    """An oracle over Z_m whose query writes psi's block and leaves it be."""
+    regs = psi.layout.registers if value_registers is None else value_registers
+    prep = StatePrep(psi.layout.names(), psi)
+    return HidingOracle(m, 1, 1, regs, prep=prep, mult=lambda x, v: v)
 
 
 def test_state_prep_injection():
     psi = apply_hadamard(prepare_zero(qubit_layout("v"), EX), "v")
-    prep = StatePrep(("v",), psi)
-    layout = RegisterLayout([Register("x", "digit", 3), Register("v", "qubit", 2)])
-    base = apply_qft(prepare_zero(layout, EX), "x")
-    injected = prep.as_circuit().run(base)
+    layout = RegisterLayout([Register("x0", "digit", 3), Register("v", "qubit", 2)])
+    base = apply_qft(prepare_zero(layout, EX), "x0")
+    injected = OracleStep(identity_oracle(3, psi)).apply(base)
     assert len(injected.amps) == 6
 
 
 def test_state_prep_requires_zero_block():
     psi = prepare_basis(qubit_layout("v"), EX, (1,))
-    prep = StatePrep(("v",), psi)
-    layout = qubit_layout("v")
-    nonzero = prepare_basis(layout, EX, (1,))
+    layout = RegisterLayout([Register("x0", "digit", 2), Register("v", "qubit", 2)])
+    nonzero = prepare_basis(layout, EX, (0, 1))
     with pytest.raises(SimulationError):
-        prep.as_circuit().run(nonzero)
+        OracleStep(identity_oracle(2, psi)).apply(nonzero)
 
 
 def test_state_prep_needs_a_contiguous_block_in_its_order():
-    # the block is written into each label as one slice
+    # a query writes the block over the value registers as one slice
     psi = apply_hadamard(tensor(prepare_zero(qubit_layout("v"), EX),
                                 prepare_zero(qubit_layout("w"), EX)), "w")
-    prep = StatePrep(("v", "w"), psi)
-    x = Register("x", "digit", 3)
+    x = Register("x0", "digit", 3)
     v, w = psi.layout.registers
-    for regs in ([v, x, w], [w, v, x]):
+    for regs in ([w, v], [v], [v, w, x]):
         with pytest.raises(ValueError):
-            prep.as_circuit().run(prepare_zero(RegisterLayout(regs), EX))
-    injected = prep.as_circuit().run(prepare_zero(RegisterLayout([x, v, w]), EX))
+            identity_oracle(3, psi, regs)
+    injected = OracleStep(identity_oracle(3, psi)).apply(
+        prepare_zero(RegisterLayout([x, v, w]), EX)
+    )
     assert {lbl: a.coeffs for lbl, a in injected.amps.items()} == {
         (0,) + lbl: a.coeffs for lbl, a in psi.amps.items()
     }
